@@ -43,7 +43,7 @@ _BIOPORTAL_PURL_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessionRef:
     raw: str
     kind: AccessionKind

@@ -3,15 +3,16 @@
 All outputs are deterministic for identical inputs: TSV files use tab
 separators, LF line endings, decimal points and 7 decimal places. Exit
 codes are script-friendly: 0 ok, 2 every fetch failed, 3 findings present
-with --fail-on-findings, 64 usage error, 65 no input data.
+with --fail-on-findings, 64 usage error, 65 no input data or a bad score
+row given to stats.
 """
 
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -20,7 +21,7 @@ from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_details, load_corpus, process_study
-from .scoring import EntryScore, TypeScore, log_transform
+from .scoring import DomainError, EntryScore, TypeScore, log_transform
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--corpus", type=Path, required=True, help="corpus directory")
     p_score.add_argument("--catalog", type=Path, help="prefix<TAB>obo-path catalog file")
     p_score.add_argument("--out", type=Path, required=True, help="output directory")
-    p_score.add_argument("--concurrency", type=_concurrency, default=1)
     p_score.add_argument(
         "--probe",
         action=argparse.BooleanOptionalAction,
@@ -161,9 +161,7 @@ def cmd_score(args) -> int:
         print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
         return EXIT_NO_INPUT
     resolver = _make_resolver(args.catalog, args.probe)
-    workers = max(1, args.concurrency)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda s: process_study(s, resolver), studies))
+    results = [process_study(study, resolver) for study in studies]
     results.sort(key=lambda r: (-r.score.log_terms, r.score.study_id))
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -176,12 +174,20 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    entries = _read_entries(args.scores)
+    try:
+        entries = _read_entries(args.scores)
+    except ValueError as exc:
+        print(f"bad score row in {args.scores}: {exc}", file=sys.stderr)
+        return EXIT_NO_INPUT
     if not entries:
         print(f"no score rows in {args.scores}", file=sys.stderr)
         return EXIT_NO_INPUT
     if args.log_base_check:
-        mismatches = _log_base_mismatches(entries)
+        try:
+            mismatches = _log_base_mismatches(entries)
+        except DomainError as exc:
+            print(f"log-base check: {exc}", file=sys.stderr)
+            return EXIT_NO_INPUT
         for study_id, column in mismatches:
             print(f"log-base check: {study_id} {column} inconsistent", file=sys.stderr)
         if not mismatches:
@@ -298,7 +304,7 @@ def _write_scores_json(path: Path, results, resolver) -> None:
     payload = []
     for result in results:
         score = result.score
-        details = annotation_details(result.metadata, resolver)
+        details = annotation_details(score, resolver)
         types = {}
         for annotation_type in SCORED_TYPES:
             ts = score.per_type[annotation_type]
@@ -336,9 +342,20 @@ def _log_base_mismatches(entries: list[EntryScore]) -> list[tuple[str, str]]:
             ("log_annotations", entry.global_annotations, entry.log_annotations),
         )
         for column, score, logged in pairs:
-            if abs(log_transform(score) - logged) > 1e-6:
+            try:
+                expected = log_transform(score)
+            except DomainError as exc:
+                raise DomainError(f"{entry.study_id} {column}: {exc}") from exc
+            if abs(expected - logged) > 1e-6:
                 mismatches.append((entry.study_id, column))
     return mismatches
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite score {cell!r}")
+    return value
 
 
 def _read_entries(scores_path: Path) -> list[EntryScore]:
@@ -362,7 +379,7 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
 
     entries = []
     lines = scores_path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+    for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split("\t")
@@ -370,15 +387,18 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
             log.warning("skipping malformed score row: %r", line)
             continue
         study_id = cells[0]
-        entries.append(
-            EntryScore(
-                study_id=study_id,
-                per_type=per_type_by_study.get(study_id, {}),
-                global_terms=float(cells[2]),
-                log_terms=float(cells[3]),
-                global_annotations=float(cells[4]),
-                log_annotations=float(cells[5]),
-                total_annotations=int(cells[1]),
+        try:
+            entries.append(
+                EntryScore(
+                    study_id=study_id,
+                    per_type=per_type_by_study.get(study_id, {}),
+                    global_terms=_finite(cells[2]),
+                    log_terms=_finite(cells[3]),
+                    global_annotations=_finite(cells[4]),
+                    log_annotations=_finite(cells[5]),
+                    total_annotations=int(cells[1]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"line {line_number} ({study_id}): {exc}") from exc
     return entries

@@ -13,8 +13,10 @@ status``) written next to the downloaded files.
 
 import hashlib
 import logging
+import os
 import re
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -162,8 +164,9 @@ def fetch_corpus(
 ) -> CorpusManifest:
     """Download each study's investigation file and record a manifest.
 
-    Files land in ``dest_dir/<study_id>/i_Investigation.txt``. With ``cache``
-    on, an existing file is kept (status ``cached``) and not re-downloaded.
+    Files land in ``dest_dir/<study_id>/i_Investigation.txt``, written whole
+    or not at all. With ``cache`` on, an existing file is kept (status
+    ``cached``) and not re-downloaded.
     Per-study failures are recorded with status ``fetch_failed`` and never
     abort the batch; only an unwritable ``dest_dir`` raises. Rows keep the
     input id order regardless of download completion order.
@@ -190,7 +193,7 @@ def fetch_corpus(
             log.warning("fetch failed for %s: %s", study_id, exc)
             return ManifestEntry(study_id, "", url, stamp, "", STATUS_FAILED)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(response.content)
+        _write_atomic(target, response.content)
         return ManifestEntry(
             study_id,
             str(target.relative_to(dest)),
@@ -257,6 +260,21 @@ def _get_with_retries(
         if attempt < retries and backoff > 0:
             time.sleep(backoff * (2**attempt))
     raise NetworkError(f"request to {url} failed: {last_error}")
+
+
+def _write_atomic(target: Path, data: bytes) -> None:
+    """Write to a temporary file beside ``target``, then rename it into place.
+
+    An interrupted write leaves no ``target`` behind that a later cached run
+    would trust. The temporary name starts with a dot, so corpus loading
+    never picks it up.
+    """
+    partial = target.with_name(f".{target.name}.{uuid.uuid4().hex}.part")
+    try:
+        partial.write_bytes(data)
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _sha256(data: bytes) -> str:

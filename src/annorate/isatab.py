@@ -60,10 +60,6 @@ class TermSlot:
     accession: str = ""
     source_ref: str = ""
 
-    @property
-    def is_annotated(self) -> bool:
-        return self.accession != ""
-
 
 @dataclass
 class StudyMetadata:
@@ -78,12 +74,6 @@ class StudyMetadata:
     slots: dict[AnnotationType, list[TermSlot]]
     source_path: str = ""
     warnings: list[str] = field(default_factory=list)
-
-    def term_count(self, annotation_type: AnnotationType) -> int:
-        return len(self.slots[annotation_type])
-
-    def annotation_count(self, annotation_type: AnnotationType) -> int:
-        return sum(1 for s in self.slots[annotation_type] if s.is_annotated)
 
 
 def parse_investigation(content: str, source_name: str = "") -> list[StudyMetadata]:

@@ -1,19 +1,20 @@
 """Wiring between parsed metadata, ontology catalogs and the scorers.
 
 The full offline pipeline is: load investigation files from a directory,
-resolve each slot's accession against an :class:`~annorate.ontology.OntologyCatalog`,
-score entries and audit them. Network probing is an optional add-on that
-only refines *why* an accession could not be resolved (broken versus not in
-the catalog); it never changes scores.
+resolve each slot's accession against an :class:`~annorate.ontology.OntologyCatalog`
+and score entries; the audit reads the same loaded studies. Network probing
+is an optional add-on that only refines *why* an accession could not be
+resolved (broken versus not in the catalog); it never changes scores.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .accession import AccessionRef, Resolution, classify_accession
-from .audit import Irregularity, audit_entry
+# classify_accession is unused here but stays bound: the benchmark's tracer
+# test (benchmarks/test_benchmark.py) asserts that this binding is rewrapped.
+from .accession import AccessionRef, Resolution, classify_accession  # noqa: F401
 from .isatab import SCORED_TYPES, MalformedFileError, StudyMetadata, load_investigation
 from .ontology import DepthMetrics, OntologyCatalog
 from .scoring import EntryScore, score_entry
@@ -65,14 +66,14 @@ class AccessionResolver:
 class StudyResult:
     metadata: StudyMetadata
     score: EntryScore
-    findings: list[Irregularity] = field(default_factory=list)
 
 
 def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]:
     """Parse every ``i_*.txt`` under a directory, skipping unparseable files.
 
     Returns the parsed studies (file order, then block order) and a list of
-    per-file failure descriptions.
+    per-file failure descriptions. A study id already seen is logged as a
+    warning naming both sources; both studies are kept.
     """
     corpus_dir = Path(corpus_dir)
     studies: list[StudyMetadata] = []
@@ -83,35 +84,37 @@ def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]
         except (MalformedFileError, OSError) as exc:
             log.warning("skipping %s: %s", path, exc)
             failures.append(f"{path}: {exc}")
+    first_source: dict[str, str] = {}
+    for study in studies:
+        if study.study_id in first_source:
+            log.warning(
+                "study id %s in %s was already read from %s",
+                study.study_id,
+                study.source_path,
+                first_source[study.study_id],
+            )
+        else:
+            first_source[study.study_id] = study.source_path
     return studies, failures
 
 
 def process_study(metadata: StudyMetadata, resolver: AccessionResolver) -> StudyResult:
-    """Score and audit one study with a shared resolver."""
-    return StudyResult(
-        metadata=metadata,
-        score=score_entry(metadata, resolver.score),
-        findings=audit_entry(metadata, resolver.resolution),
-    )
+    """Score one study with a shared resolver."""
+    return StudyResult(metadata=metadata, score=score_entry(metadata, resolver.score))
 
 
 def annotation_details(
-    metadata: StudyMetadata, resolver: AccessionResolver
+    score: EntryScore, resolver: AccessionResolver
 ) -> dict[str, list[dict]]:
     """Per-annotation depth metrics for report serialization.
 
-    One record per scorable accession of each scored type, in slot order,
+    One record per annotation that ``score``'s tallies kept, in slot order,
     with null metrics when the term is not in the catalog.
     """
     details: dict[str, list[dict]] = {}
     for annotation_type in SCORED_TYPES:
         records = []
-        for slot in metadata.slots.get(annotation_type, []):
-            if not slot.accession:
-                continue
-            ref = classify_accession(slot.accession)
-            if not ref.is_scorable:
-                continue
+        for slot, ref in score.per_type[annotation_type].annotations:
             metrics = resolver.metrics(ref)
             records.append(
                 {

@@ -17,7 +17,7 @@ rankings are preserved.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .accession import AccessionRef, classify_accession
@@ -38,6 +38,11 @@ class TypeScore:
     score_sum: float
     by_annotations: float
     by_terms: float
+    #: The (slot, classified accession) pair of each annotation, in slot order.
+    #: Empty on scores rebuilt from report files; ignored by equality.
+    annotations: tuple[tuple[TermSlot, AccessionRef], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ def type_tally(slots: Iterable[TermSlot], scorer: Scorer) -> TypeScore:
     once per scorable accession and must return a value in [0, 1]
     (unresolvable terms score 0; they still count as annotations).
     """
-    annotation_count = 0
+    annotations = []
     term_count = 0
     score_sum = 0.0
     for slot in slots:
@@ -78,11 +83,12 @@ def type_tally(slots: Iterable[TermSlot], scorer: Scorer) -> TypeScore:
         if slot.label or scorable:
             term_count += 1
         if scorable:
-            annotation_count += 1
+            annotations.append((slot, ref))
             score = scorer(ref)
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"scorer returned {score!r} for {ref.raw!r}")
             score_sum += score
+    annotation_count = len(annotations)
     by_annotations = score_sum / annotation_count if annotation_count else 0.0
     by_terms = score_sum / term_count if term_count else 0.0
     return TypeScore(
@@ -91,6 +97,7 @@ def type_tally(slots: Iterable[TermSlot], scorer: Scorer) -> TypeScore:
         score_sum=score_sum,
         by_annotations=by_annotations,
         by_terms=by_terms,
+        annotations=tuple(annotations),
     )
 
 

@@ -1,15 +1,49 @@
 """Command-line pipeline: subcommands, outputs, exit codes."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from annorate import cli
+from annorate import accession, audit, cli, pipeline, scoring
+from annorate.accession import classify_accession
+from annorate.pipeline import load_corpus
 
 from conftest import investigation_text, mtbls95_investigation
-from annorate.isatab import AnnotationType
+from annorate.isatab import SCORED_TYPES, AnnotationType
 
 MTBLS95_ROW = "MTBLS95\t8\t41.6250000\t50.2075956\t44.9166667\t53.5223527"
+
+
+#: One slot of each accession kind, an empty-label annotation, and a Person
+#: accession that scoring must not look at.
+MIXED_SLOTS = {
+    AnnotationType.DESIGN: (
+        ["metabolomics", "", "free text"],
+        ["http://purl.obolibrary.org/obo/GO_0000001",
+         "http://purl.bioontology.org/ontology/MSH/C081695", ""],
+    ),
+    AnnotationType.FACTOR: (["dose"], ["http://example.org/dose"]),
+    AnnotationType.PROTOCOL: (["Extraction"], ["not a url"]),
+    AnnotationType.PERSON: (["curator"], ["http://purl.obolibrary.org/obo/OBI_0000001"]),
+}
+
+#: (label, accession) cells of one slot; at least one of them is non-empty,
+#: since the parser drops slots with neither.
+SLOT = st.tuples(
+    st.sampled_from(["", "alpha", "beta gamma", "delta"]),
+    st.sampled_from([
+        "",
+        "http://purl.obolibrary.org/obo/GO_0000001",
+        "https://purl.obolibrary.org/obo/CHMO_0000591",
+        "http://purl.bioontology.org/ontology/MSH/C081695",
+        "http://example.org/term/1",
+        "not-a-url",
+    ]),
+).filter(lambda slot: slot != ("", ""))
 
 
 def run_cli(argv):
@@ -50,7 +84,7 @@ class TestUsageErrors:
 
     def test_concurrency_must_be_positive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
-            run_cli(["score", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
+            run_cli(["fetch", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "o"),
                      "--concurrency", "0"])
         assert err.value.code == cli.EXIT_USAGE
 
@@ -147,12 +181,57 @@ class TestScore:
                for line in (out / "scores.tsv").read_text().splitlines()[1:]]
         assert ids == ["MTBLS95", "MTBLS0"]
 
-    def test_concurrency_matches_serial(self, mtbls95_corpus, mtbls95_catalog, tmp_path):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        base = ["score", "--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog)]
-        run_cli(base + ["--out", str(out1), "--concurrency", "1"])
-        run_cli(base + ["--out", str(out2), "--concurrency", "4"])
-        assert (out1 / "scores.tsv").read_bytes() == (out2 / "scores.tsv").read_bytes()
+    def test_classifies_each_scored_accession_slot_once(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_study(corpus, "MTBLS1", investigation_text(study_id="MTBLS1", sections=MIXED_SLOTS))
+        write_study(corpus, "MTBLS2", mtbls95_investigation())
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return classify_accession(raw)
+
+        for module in (accession, audit, pipeline, scoring):
+            monkeypatch.setattr(module, "classify_accession", counting)
+        assert run_cli(["score", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 0
+        studies, _ = load_corpus(corpus)
+        expected = [
+            slot.accession
+            for study in studies
+            for t in SCORED_TYPES
+            for slot in study.slots[t]
+            if slot.accession
+        ]
+        assert sorted(calls) == sorted(expected)
+
+    def test_never_audits(self, mtbls95_corpus, tmp_path, monkeypatch):
+        calls = []
+        for module in (audit, cli):
+            monkeypatch.setattr(module, "audit_entry", lambda *a, **k: calls.append(a) or [])
+        assert run_cli(["score", "--corpus", str(mtbls95_corpus),
+                        "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        assert calls == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.sampled_from(SCORED_TYPES), st.lists(SLOT, min_size=1, max_size=6)))
+    def test_json_annotations_are_the_tallied_slots(self, sections):
+        sections = {t: ([label for label, _ in slots], [acc for _, acc in slots])
+                    for t, slots in sections.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "corpus", Path(tmp) / "out"
+            write_study(corpus, "S1", investigation_text(study_id="S1", sections=sections))
+            assert run_cli(["score", "--corpus", str(corpus), "--out", str(out)]) == 0
+            (record,) = json.loads((out / "scores.json").read_text(encoding="utf-8"))
+        for t in SCORED_TYPES:
+            labels, accessions = sections.get(t, ([], []))
+            tally = record["types"][t.value]
+            kept = [(a["label"], a["accession"]) for a in tally["annotations"]]
+            assert len(kept) == tally["annotation_count"]
+            assert kept == [
+                (label, acc)
+                for label, acc in zip(labels, accessions)
+                if classify_accession(acc).is_scorable
+            ]
 
 
 class TestStats:
@@ -233,6 +312,35 @@ class TestStats:
                  "--log-base-check"])
         err = capsys.readouterr().err
         assert "MTBLS1 log_terms inconsistent" in err
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "inf", ""])
+    def test_non_numeric_cell_exits_with_row(self, tmp_path, capsys, cell):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n"
+            f"MTBLS2\t4\t75.0000000\t{cell}\t75.0000000\t80.7354922\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "line 3" in err and "MTBLS2" in err
+
+    def test_log_base_check_out_of_range_exits_with_row(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t4\t150.0000000\t99.0000000\t75.0000000\t80.7354922\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(tmp_path / "o"),
+                        "--log-base-check"])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "MTBLS1" in err and "outside [0, 100]" in err
 
 
 class TestAudit:

@@ -1,6 +1,7 @@
 """Corpus acquisition against a local stub HTTP server."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,26 @@ class TestFetchCorpus:
         fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
         lines = (tmp_path / "c" / "manifest.tsv").read_text().splitlines()
         assert len(lines) == 3  # header + two runs
+
+    def test_failed_write_leaves_no_target(self, stub_server, tmp_path, monkeypatch):
+        body = INVESTIGATION_BODY.format(sid="MTBLS1")
+        server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
+        dest = tmp_path / "c"
+
+        def write_half_then_fail(path, data):
+            with open(path, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            fetch_corpus(["MTBLS1"], dest, base_url=server.base_url, backoff=0)
+        monkeypatch.undo()
+        assert list((dest / "MTBLS1").iterdir()) == []
+
+        manifest = fetch_corpus(["MTBLS1"], dest, base_url=server.base_url, backoff=0)
+        assert manifest.entries[0].status == "ok"
+        assert (dest / "MTBLS1" / "i_Investigation.txt").read_text(encoding="utf-8") == body
 
     def test_bounded_concurrency_beats_sequential(self, stub_server, tmp_path):
         latency = 0.03

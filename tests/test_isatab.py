@@ -38,6 +38,14 @@ labels_strategy = st.lists(
 )
 
 
+def n_slots(study, annotation_type):
+    return len(study.slots[annotation_type])
+
+
+def n_accessions(study, annotation_type):
+    return sum(1 for slot in study.slots[annotation_type] if slot.accession)
+
+
 def parse_single(content, source_name="test"):
     studies = parse_investigation(content, source_name)
     assert len(studies) == 1
@@ -48,14 +56,14 @@ class TestParse:
     def test_reference_study_counts(self):
         study = parse_single(mtbls95_investigation())
         assert study.study_id == "MTBLS95"
-        assert study.term_count(AnnotationType.DESIGN) == 7
-        assert study.annotation_count(AnnotationType.DESIGN) == 6
-        assert study.term_count(AnnotationType.FACTOR) == 2
-        assert study.annotation_count(AnnotationType.FACTOR) == 0
-        assert study.term_count(AnnotationType.ASSAY) == 2
-        assert study.annotation_count(AnnotationType.ASSAY) == 2
-        assert study.term_count(AnnotationType.PROTOCOL) == 6
-        assert study.annotation_count(AnnotationType.PROTOCOL) == 0
+        assert n_slots(study, AnnotationType.DESIGN) == 7
+        assert n_accessions(study, AnnotationType.DESIGN) == 6
+        assert n_slots(study, AnnotationType.FACTOR) == 2
+        assert n_accessions(study, AnnotationType.FACTOR) == 0
+        assert n_slots(study, AnnotationType.ASSAY) == 2
+        assert n_accessions(study, AnnotationType.ASSAY) == 2
+        assert n_slots(study, AnnotationType.PROTOCOL) == 6
+        assert n_accessions(study, AnnotationType.PROTOCOL) == 0
 
     def test_positional_pairing(self):
         study = parse_single(mtbls95_investigation())
@@ -77,8 +85,8 @@ class TestParse:
         study = parse_single(content)
         for annotation_type in SCORED_TYPES:
             assert study.slots[annotation_type] == []
-            assert study.term_count(annotation_type) == 0
-            assert study.annotation_count(annotation_type) == 0
+            assert n_slots(study, annotation_type) == 0
+            assert n_accessions(study, annotation_type) == 0
 
     def test_malformed_file(self):
         with pytest.raises(MalformedFileError):
@@ -110,7 +118,7 @@ class TestParse:
     def test_crlf_line_endings(self):
         content = mtbls95_investigation().replace("\n", "\r\n")
         study = parse_single(content)
-        assert study.term_count(AnnotationType.DESIGN) == 7
+        assert n_slots(study, AnnotationType.DESIGN) == 7
 
     def test_empty_label_with_accession_kept(self):
         content = investigation_text(
@@ -126,7 +134,7 @@ class TestParse:
         assert slots[0] == TermSlot(
             label="", accession="http://purl.obolibrary.org/obo/GO_0000001"
         )
-        assert study.annotation_count(AnnotationType.DESIGN) == 1
+        assert n_accessions(study, AnnotationType.DESIGN) == 1
 
     def test_source_ref_cells(self):
         content = investigation_text(
@@ -154,15 +162,15 @@ class TestParse:
         )
         studies = parse_investigation("ONTOLOGY SOURCE REFERENCE\n" + block1 + block2, "f")
         assert [s.study_id for s in studies] == ["MTBLS1", "MTBLS2"]
-        assert studies[0].term_count(AnnotationType.DESIGN) == 1
-        assert studies[1].term_count(AnnotationType.FACTOR) == 1
+        assert n_slots(studies[0], AnnotationType.DESIGN) == 1
+        assert n_slots(studies[1], AnnotationType.FACTOR) == 1
 
     def test_person_slots_parsed(self):
         content = investigation_text(
             sections={AnnotationType.PERSON: (["investigator", "curator"], [])}
         )
         study = parse_single(content, "s")
-        assert study.term_count(AnnotationType.PERSON) == 2
+        assert n_slots(study, AnnotationType.PERSON) == 2
 
 
 class TestLoadInvestigation:
@@ -207,9 +215,9 @@ class TestProperties:
             study_id="S", sections={AnnotationType.DESIGN: (labels, accessions)}
         )
         study = parse_single(content, "S")
-        total_terms = sum(study.term_count(t) for t in AnnotationType)
+        total_terms = sum(n_slots(study, t) for t in AnnotationType)
         assert total_terms == len(labels)
-        assert study.annotation_count(AnnotationType.DESIGN) == n_acc
+        assert n_accessions(study, AnnotationType.DESIGN) == n_acc
 
     @given(labels_strategy, st.data())
     def test_permutation_moves_slots_together(self, labels, data):
@@ -237,4 +245,4 @@ class TestProperties:
             investigation_text(sections={AnnotationType.FACTOR: (labels, accessions)}), "S"
         )
         for annotation_type in AnnotationType:
-            assert study.annotation_count(annotation_type) <= study.term_count(annotation_type)
+            assert n_accessions(study, annotation_type) <= n_slots(study, annotation_type)

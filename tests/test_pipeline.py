@@ -109,6 +109,36 @@ class TestLoadCorpus:
         assert len(failures) == 1
         assert "i_bad.txt" in failures[0]
 
+    def test_colliding_study_ids_warn_with_both_sources(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        content = investigation_text(
+            study_id="MTBLS1", sections={AnnotationType.DESIGN: (["x"], [])}
+        )
+        for name in ("A", "B"):
+            (corpus / name).mkdir(parents=True)
+            (corpus / name / "i_Investigation.txt").write_text(content, encoding="utf-8")
+        with caplog.at_level("WARNING", logger="annorate.pipeline"):
+            studies, failures = load_corpus(corpus)
+        assert [s.study_id for s in studies] == ["MTBLS1", "MTBLS1"]
+        assert failures == []
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert "MTBLS1" in message
+        assert str(corpus / "A" / "i_Investigation.txt") in message
+        assert str(corpus / "B" / "i_Investigation.txt") in message
+
+    def test_distinct_study_ids_do_not_warn(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        for sid in ("MTBLS1", "MTBLS2"):
+            (corpus / sid).mkdir(parents=True)
+            (corpus / sid / "i_Investigation.txt").write_text(
+                investigation_text(study_id=sid, sections={AnnotationType.DESIGN: (["x"], [])}),
+                encoding="utf-8",
+            )
+        with caplog.at_level("WARNING", logger="annorate.pipeline"):
+            load_corpus(corpus)
+        assert caplog.records == []
+
     def test_ignores_other_files(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -127,7 +157,6 @@ class TestProcessStudy:
         (study,), _ = load_corpus(corpus)
         result = process_study(study, resolver)
         assert result.score.global_terms == pytest.approx(41.625, abs=1e-6)
-        assert result.findings == []
 
     def test_annotation_details(self, resolver, tmp_path):
         corpus = tmp_path / "corpus"
@@ -136,7 +165,7 @@ class TestProcessStudy:
             mtbls95_investigation(), encoding="utf-8"
         )
         (study,), _ = load_corpus(corpus)
-        details = annotation_details(study, resolver)
+        details = annotation_details(process_study(study, resolver).score, resolver)
         design = details["Design"]
         assert len(design) == 6
         assert design[0]["score"] == 1.0
