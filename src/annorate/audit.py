@@ -6,11 +6,24 @@ pairs listed more than once, and labels that appear under two annotation
 types with the accession under exactly one of them. Corpus-wide checks flag
 near-duplicate entry pairs whose slot multisets are identical or almost so.
 
+The near-duplicate check is an exact prefix-filtered similarity join
+(Chaudhuri, Ganti & Kaushik, ICDE 2006; Xiao et al., PPJoin, WWW 2008).
+Each entry's slot multiset becomes a set of int tokens, ranked rarest first
+across the corpus. At threshold t, a flagged pair shares at least
+o = (1 - t) * n of each entry's n tokens, so under that one ranking the two
+entries' first n - o + 1 tokens meet. Candidates are the pairs that share
+such a prefix token, plus every pair of empty entries; each candidate is
+checked with the full flag rule, so the findings are exactly those of
+comparing every pair. The cost is one pass over the slots, a sort of each
+entry's tokens and one multiset intersection per candidate, where the
+all-pairs scan did one intersection per pair of entries.
+
 Labels are compared case-insensitively with collapsed whitespace; accessions
 are compared exactly. Findings report, never repair: repeated annotations
 are left in place for scoring, which tallies files as they are.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -150,25 +163,70 @@ def audit_corpus(
     are identical, or when the number of differing slots is within
     ``near_dup_threshold`` of the larger entry's slot count (a 1-in-10
     difference is flagged at the default 0.10). Each unordered pair is
-    reported at most once, on the lexically first study id.
+    reported at most once, on the lexically first study id. Findings are
+    ordered by the pair's earlier entry in ``entries``, then its later one.
+
+    Raises ``ValueError`` for a threshold outside [0, 1): at 1 or above
+    every pair is flagged.
     """
+    if not 0.0 <= near_dup_threshold < 1.0:
+        raise ValueError(f"near_dup_threshold must be in [0, 1), got {near_dup_threshold}")
+    multisets = [_slot_multiset(e) for e in entries]
+
+    # A slot's first copy is the slot itself and its k-th repeat is
+    # (slot, k), so set overlap of these int tokens equals multiset overlap.
+    token_ids: dict = {}
+    token_lists = []
+    for multiset in multisets:
+        tokens = []
+        for slot, count in multiset.items():
+            tokens.append(token_ids.setdefault(slot, len(token_ids)))
+            for k in range(1, count):
+                tokens.append(token_ids.setdefault((slot, k), len(token_ids)))
+        token_lists.append(tokens)
+    frequency = [0] * len(token_ids)
+    for tokens in token_lists:
+        for token in tokens:
+            frequency[token] += 1
+    rank = [0] * len(token_ids)
+    for position, token in enumerate(sorted(range(len(token_ids)), key=frequency.__getitem__)):
+        rank[token] = position
+    del token_ids, frequency
+
+    # Index each entry's first n - o + 1 ranked tokens (see the module
+    # docstring); the 1e-9 keeps o a lower bound when (1 - t) * n rounds up.
+    # Empty entries have no tokens, and 0 of 0 slots differ between them.
+    candidates: set[tuple[int, int]] = set()
+    index: dict[int, list[int]] = {}
+    empty: list[int] = []
+    for i, tokens in enumerate(token_lists):
+        n = len(tokens)
+        if not n:
+            candidates.update((j, i) for j in empty)
+            empty.append(i)
+            continue
+        overlap = max(1, math.floor((1.0 - near_dup_threshold) * n - 1e-9))
+        for token in sorted(rank[t] for t in tokens)[: n - overlap + 1]:
+            bucket = index.setdefault(token, [])
+            candidates.update((j, i) for j in bucket)
+            bucket.append(i)
+    del index, token_lists, rank
+
     findings: list[Irregularity] = []
-    multisets = [(_slot_multiset(e), e.study_id) for e in entries]
-    for i in range(len(multisets)):
-        for j in range(i + 1, len(multisets)):
-            (ms_a, id_a), (ms_b, id_b) = multisets[i], multisets[j]
-            size = max(sum(ms_a.values()), sum(ms_b.values()))
-            shared = sum((ms_a & ms_b).values())
-            differ = size - shared
-            if differ <= near_dup_threshold * size:
-                first, second = sorted((id_a, id_b))
-                findings.append(
-                    Irregularity(
-                        first,
-                        IrregularityKind.NEAR_DUPLICATE_ENTRY,
-                        f"matches {second} ({differ} of {size} slots differ)",
-                    )
+    for a, b in sorted(candidates):
+        ms_a, ms_b = multisets[a], multisets[b]
+        size = max(sum(ms_a.values()), sum(ms_b.values()))
+        shared = sum((ms_a & ms_b).values())
+        differ = size - shared
+        if differ <= near_dup_threshold * size:
+            first, second = sorted((entries[a].study_id, entries[b].study_id))
+            findings.append(
+                Irregularity(
+                    first,
+                    IrregularityKind.NEAR_DUPLICATE_ENTRY,
+                    f"matches {second} ({differ} of {size} slots differ)",
                 )
+            )
     return findings
 
 

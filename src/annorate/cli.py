@@ -4,7 +4,7 @@ All outputs are deterministic for identical inputs: TSV files use tab
 separators, LF line endings, decimal points and 7 decimal places. Exit
 codes are script-friendly: 0 ok, 2 every fetch failed, 3 findings present
 with --fail-on-findings, 64 usage error, 65 no input data or a bad score
-row given to stats.
+row or record given to stats.
 """
 
 import argparse
@@ -175,7 +175,7 @@ def cmd_score(args) -> int:
 
 def cmd_stats(args) -> int:
     try:
-        entries = _read_entries(args.scores)
+        entries = _read_entries(args.scores, args.score_column)
     except ValueError as exc:
         print(f"bad score row in {args.scores}: {exc}", file=sys.stderr)
         return EXIT_NO_INPUT
@@ -358,24 +358,37 @@ def _finite(cell: str) -> float:
     return value
 
 
-def _read_entries(scores_path: Path) -> list[EntryScore]:
-    """Rebuild entry scores from scores.tsv (plus scores.json when present)."""
+def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
+    """Rebuild entry scores from scores.tsv (plus scores.json when present).
+
+    Raises ``ValueError`` naming the row on a non-numeric or non-finite cell
+    or a ``histogram_column`` value outside [0, 100], and naming the study
+    on a scores.json record with a missing key or an unknown type.
+    """
     if not scores_path.exists():
         return []
     per_type_by_study: dict[str, dict[AnnotationType, TypeScore]] = {}
     json_path = scores_path.with_name("scores.json")
     if json_path.exists():
         for record in json.loads(json_path.read_text(encoding="utf-8")):
+            where = f"{json_path.name} record {record.get('study_id')}"
             types = {}
-            for type_name, ts in record.get("types", {}).items():
-                types[AnnotationType(type_name)] = TypeScore(
-                    annotation_count=ts["annotation_count"],
-                    term_count=ts["term_count"],
-                    score_sum=ts["score_sum"],
-                    by_annotations=ts["by_annotations"],
-                    by_terms=ts["by_terms"],
-                )
-            per_type_by_study[record["study_id"]] = types
+            try:
+                for type_name, ts in record.get("types", {}).items():
+                    # before the keys, so an unknown type is reported as such
+                    annotation_type = AnnotationType(type_name)
+                    types[annotation_type] = TypeScore(
+                        annotation_count=ts["annotation_count"],
+                        term_count=ts["term_count"],
+                        score_sum=ts["score_sum"],
+                        by_annotations=ts["by_annotations"],
+                        by_terms=ts["by_terms"],
+                    )
+                per_type_by_study[record["study_id"]] = types
+            except KeyError as exc:
+                raise ValueError(f"{where}: missing key {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
 
     entries = []
     lines = scores_path.read_text(encoding="utf-8").splitlines()
@@ -388,17 +401,19 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
             continue
         study_id = cells[0]
         try:
-            entries.append(
-                EntryScore(
-                    study_id=study_id,
-                    per_type=per_type_by_study.get(study_id, {}),
-                    global_terms=_finite(cells[2]),
-                    log_terms=_finite(cells[3]),
-                    global_annotations=_finite(cells[4]),
-                    log_annotations=_finite(cells[5]),
-                    total_annotations=int(cells[1]),
-                )
+            entry = EntryScore(
+                study_id=study_id,
+                per_type=per_type_by_study.get(study_id, {}),
+                global_terms=_finite(cells[2]),
+                log_terms=_finite(cells[3]),
+                global_annotations=_finite(cells[4]),
+                log_annotations=_finite(cells[5]),
+                total_annotations=int(cells[1]),
             )
+            value = getattr(entry, histogram_column)
+            if not 0.0 <= value <= 100.0:
+                raise ValueError(f"{histogram_column} {value} outside [0, 100]")
         except ValueError as exc:
             raise ValueError(f"line {line_number} ({study_id}): {exc}") from exc
+        entries.append(entry)
     return entries

@@ -80,7 +80,8 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
 
     Zero-annotation entries appear in the histogram but are excluded from
     boxplots and weighting gaps. Types for which no entry carries per-type
-    detail are absent from the boxplot and gap maps.
+    detail are absent from the boxplot and gap maps. Raises ``ValueError``
+    naming the entry when a ``column`` value lies outside [0, 100].
     """
     _check_column(column)
     if not entries:
@@ -89,6 +90,8 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
     counts = [0] * 10
     for entry in entries:
         value = getattr(entry, column)
+        if not 0.0 <= value <= 100.0:
+            raise ValueError(f"{entry.study_id}: {column} {value} outside [0, 100]")
         counts[min(int(value // 10), 9)] += 1
     histogram = [(lo, counts[lo // 10]) for lo in range(0, 100, 10)]
 

@@ -6,7 +6,8 @@ that the scoring pipeline reads directly, and probing is optional (with
 probing off, resolution outcomes derive solely from the ontology catalog).
 
 Downloads run through a bounded worker pool with per-request timeouts and
-exponential-backoff retries; one failing study never aborts the batch. The
+exponential-backoff retries of network errors, HTTP 5xx and HTTP 429 (other
+4xx statuses are permanent); one failing study never aborts the batch. The
 manifest is an append-only TSV (``study_id path url fetched_at sha256
 status``) written next to the downloaded files.
 """
@@ -249,7 +250,7 @@ def _get_with_retries(
     for attempt in range(retries + 1):
         try:
             response = requests.get(url, timeout=timeout)
-            if response.status_code >= 500:
+            if response.status_code >= 500 or response.status_code == 429:
                 last_error = NetworkError(f"HTTP {response.status_code} for {url}")
             elif response.status_code >= 400:
                 raise NetworkError(f"HTTP {response.status_code} for {url}")

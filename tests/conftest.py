@@ -176,6 +176,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         self.server.request_log.append(self.path)
         route = self.server.routes.get(self.path)
+        if isinstance(route, list):
+            route = route.pop(0) if len(route) > 1 else route[0]
         if route is None:
             self.send_response(404)
             body = b"not found"
@@ -194,7 +196,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class StubServer:
-    """Tiny local HTTP server serving a path->(status, body) route table."""
+    """Tiny local HTTP server serving a path->(status, body) route table.
+
+    A route may also map to a list of (status, body) responses, served one
+    per request in order, the last one for every request after it.
+    """
 
     def __init__(self, routes=None, latency=0.0):
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)

@@ -1,11 +1,14 @@
 """Irregularity detection: per-entry findings and corpus near-duplicates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annorate.accession import Resolution
 from annorate.audit import (
     Irregularity,
     IrregularityKind,
+    _slot_multiset,
     audit_corpus,
     audit_entry,
 )
@@ -25,6 +28,62 @@ def kinds(findings):
 
 LIPID_ACC = "http://purl.obolibrary.org/obo/GO_0005811"
 NMR_ACC = "http://purl.obolibrary.org/obo/CHMO_0000591"
+
+
+def _near_dup_oracle(entries, near_dup_threshold):
+    """The all-pairs near-duplicate scan: one multiset intersection per pair."""
+    findings = []
+    multisets = [(_slot_multiset(e), e.study_id) for e in entries]
+    for i in range(len(multisets)):
+        for j in range(i + 1, len(multisets)):
+            (ms_a, id_a), (ms_b, id_b) = multisets[i], multisets[j]
+            size = max(sum(ms_a.values()), sum(ms_b.values()))
+            shared = sum((ms_a & ms_b).values())
+            differ = size - shared
+            if differ <= near_dup_threshold * size:
+                first, second = sorted((id_a, id_b))
+                findings.append(
+                    Irregularity(
+                        first,
+                        IrregularityKind.NEAR_DUPLICATE_ENTRY,
+                        f"matches {second} ({differ} of {size} slots differ)",
+                    )
+                )
+    return findings
+
+
+#: (type, label, accession) of one slot, from a vocabulary small enough that
+#: entries share slots and repeat them; the label variants normalize alike.
+ORACLE_SLOT = st.tuples(
+    st.sampled_from(list(AnnotationType)),
+    st.sampled_from(["alpha", "Alpha", "beta  gamma", "beta gamma", "delta", ""]),
+    st.sampled_from(["", LIPID_ACC, NMR_ACC]),
+)
+
+
+@st.composite
+def oracle_corpora(draw):
+    """0-40 entries of 0-30 slots, some repeated up to 8 times in a row;
+    about half of the entries are shuffled near-copies of an earlier one."""
+    slot_lists = []
+    for _ in range(draw(st.integers(0, 40))):
+        if slot_lists and draw(st.booleans()):
+            slots = list(draw(st.sampled_from(slot_lists)))
+            for _ in range(draw(st.integers(0, min(3, len(slots))))):
+                slots.pop(draw(st.integers(0, len(slots) - 1)))
+            slots += draw(st.lists(ORACLE_SLOT, max_size=min(3, 30 - len(slots))))
+            slots = draw(st.permutations(slots))
+        else:
+            runs = draw(st.lists(st.tuples(ORACLE_SLOT, st.integers(1, 8)), max_size=30))
+            slots = [slot for slot, count in runs for _ in range(count)][:30]
+        slot_lists.append(slots)
+    entries = []
+    for slots in slot_lists:
+        metadata = make_metadata(f"S{draw(st.integers(0, 99))}")
+        for annotation_type, label, accession in slots:
+            metadata.slots[annotation_type].append(TermSlot(label, accession))
+        entries.append(metadata)
+    return entries
 
 
 class TestAuditEntry:
@@ -193,6 +252,37 @@ class TestAuditCorpus:
         # 2 of 12 slots differ: 16.7%, above the default threshold
         assert audit_corpus([small, big]) == []
         assert len(audit_corpus([small, big], near_dup_threshold=0.2)) == 1
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_empty_entries_match_each_other(self, count):
+        findings = audit_corpus([make_metadata(f"E{i}") for i in range(count)])
+        assert [(f.study_id, f.evidence) for f in findings] == [
+            (f"E{i}", f"matches E{j} (0 of 0 slots differ)")
+            for i in range(count)
+            for j in range(i + 1, count)
+        ]
+
+    def test_empty_entry_never_matches_a_non_empty_one(self):
+        empty = make_metadata("E")
+        single = make_metadata("A", design=[TermSlot("one")])
+        for threshold in (0.0, 0.5, 0.99):
+            assert audit_corpus([empty, single], near_dup_threshold=threshold) == []
+
+    @pytest.mark.parametrize("threshold", [1.0, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError):
+            audit_corpus(self.make_quintet(), near_dup_threshold=threshold)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        oracle_corpora(),
+        st.one_of(
+            st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.5]),
+            st.floats(min_value=0.0, max_value=0.99),
+        ),
+    )
+    def test_join_equals_all_pairs_oracle(self, entries, threshold):
+        assert audit_corpus(entries, threshold) == _near_dup_oracle(entries, threshold)
 
 
 class TestIrregularityShape:

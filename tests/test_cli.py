@@ -343,6 +343,61 @@ class TestStats:
         assert "MTBLS1" in err and "outside [0, 100]" in err
 
 
+    @pytest.mark.parametrize("log_base_check", [False, True])
+    @pytest.mark.parametrize("cell", ["-5.0000000", "100.5000000"])
+    def test_histogram_value_out_of_range_exits_with_row(
+        self, tmp_path, capsys, cell, log_base_check
+    ):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n"
+            f"MTBLS2\t4\t75.0000000\t{cell}\t75.0000000\t80.7354922\n",
+            encoding="utf-8",
+        )
+        argv = ["stats", "--scores", str(scores), "--out", str(tmp_path / "o")]
+        code = run_cli(argv + ["--log-base-check"] * log_base_check)
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "line 3" in err and "MTBLS2" in err and "outside [0, 100]" in err
+        assert not (tmp_path / "o" / "hist.tsv").exists()
+
+    def test_score_of_100_lands_in_last_bin(self, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t4\t100.0000000\t100.0000000\t100.0000000\t100.0000000\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run_cli(["stats", "--scores", str(scores), "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "hist.tsv").read_text().splitlines()[-1] == "90\t1"
+
+    @pytest.mark.parametrize(
+        "types, message",
+        [
+            ({"Design": {}}, "missing key 'annotation_count'"),
+            ({"Methods": {}}, "'Methods' is not a valid AnnotationType"),
+        ],
+    )
+    def test_bad_scores_json_record_exits_with_study(self, tmp_path, capsys, types, message):
+        (tmp_path / "scores.tsv").write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "scores.json").write_text(
+            json.dumps([{"study_id": "MTBLS1", "types": types}]), encoding="utf-8"
+        )
+        code = run_cli(["stats", "--scores", str(tmp_path / "scores.tsv"),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "MTBLS1" in err and message in err
+
+
 class TestAudit:
     def make_problem_corpus(self, corpus):
         lipid = "http://purl.obolibrary.org/obo/GO_0005811"

@@ -131,6 +131,12 @@ class TestDistribution:
         assert hist[10] == 1
         assert hist[90] == 2
 
+    @pytest.mark.parametrize("value", [-5.0, -0.001, 100.5])
+    def test_histogram_value_outside_range_rejected(self, value):
+        entries = [make_entry("A", log_terms=50.0), make_entry("B", log_terms=value)]
+        with pytest.raises(ValueError, match="B: log_terms .* outside"):
+            distribution(entries, "log_terms")
+
     def test_histogram_counts_sum_to_n(self):
         entries = reference_entries()
         hist = distribution(entries, "log_terms").histogram

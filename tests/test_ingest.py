@@ -47,6 +47,17 @@ class TestListStudies:
         with pytest.raises(NetworkError):
             list_studies(base_url=server.base_url + "/boom", retries=1, backoff=0)
 
+    def test_too_many_requests_is_retried(self, stub_server):
+        server = stub_server({"/": [(429, "slow down"), (200, "MTBLS1")]})
+        assert list_studies(base_url=server.base_url + "/", backoff=0) == ["MTBLS1"]
+        assert server.request_log == ["/", "/"]
+
+    def test_not_found_is_not_retried(self, stub_server):
+        server = stub_server({"/": [(404, "gone"), (200, "MTBLS1")]})
+        with pytest.raises(NetworkError, match="404"):
+            list_studies(base_url=server.base_url + "/", backoff=0)
+        assert server.request_log == ["/"]
+
 
 class TestFetchCorpus:
     def test_mixed_success_and_failure(self, stub_server, tmp_path):

@@ -1,11 +1,15 @@
 """Investigation file parsing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annorate.isatab import (
+    ACCESSION_SUFFIX,
+    IDENTIFIER_FIELD,
     SCORED_TYPES,
+    SOURCE_REF_SUFFIX,
+    TYPE_FIELDS,
     AnnotationType,
     MalformedFileError,
     TermSlot,
@@ -246,3 +250,34 @@ class TestProperties:
         )
         for annotation_type in AnnotationType:
             assert n_accessions(study, annotation_type) <= n_slots(study, annotation_type)
+
+
+#: Field names the parser recognizes, plus block headers and near misses.
+_FIELD_NAMES = [IDENTIFIER_FIELD, "STUDY", "INVESTIGATION", "Study Identifier "] + [
+    base + suffix
+    for base in TYPE_FIELDS.values()
+    for suffix in ("", ACCESSION_SUFFIX, SOURCE_REF_SUFFIX)
+]
+
+#: Lines that are either arbitrary text or a field name with arbitrary,
+#: sometimes quoted, cells.
+_investigation_lines = st.one_of(
+    st.text(),
+    st.builds(
+        lambda name, cells: "\t".join([name, *cells]),
+        st.sampled_from(_FIELD_NAMES) | st.text(),
+        st.lists(st.text() | st.text().map(lambda c: f'"{c}"'), max_size=4),
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_investigation_lines, max_size=12).map("\n".join), st.text())
+    def test_arbitrary_text_raises_only_malformed_file_error(self, content, source_name):
+        try:
+            studies = parse_investigation(content, source_name)
+        except MalformedFileError:
+            return
+        for study in studies:
+            assert set(study.slots) == set(AnnotationType)

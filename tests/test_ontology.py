@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annorate.ontology import (
     CycleDetectedError,
     EmptyOntologyError,
     OntologyCatalog,
+    OntologyError,
     OntologyGraph,
     UnknownTermError,
     load_obo,
@@ -260,3 +263,31 @@ class TestGraphConstruction:
         loaded = load_obo(CHAIN, "T")
         for term in parents:
             assert direct.specificity(term) == loaded.specificity(term)
+
+
+#: Term ids from two prefixes, few enough that stanzas collide and cycle.
+_OBO_IDS = st.sampled_from(["T:1", "T:2", "T:3", "T:4", "X:1", "T", ""])
+
+#: Lines that are either arbitrary text or OBO stanza headers and tags.
+_obo_lines = st.one_of(
+    st.text(),
+    st.sampled_from(["[Term]", "[Typedef]", "[Term", "", "is_obsolete: true"]),
+    st.builds(
+        lambda tag, term, tail: f"{tag}: {term}{tail}",
+        st.sampled_from(["id", "is_a", "is_obsolete", "relationship", "name"]),
+        _OBO_IDS,
+        st.sampled_from(["", " ! comment", " {source=x}", "!"]) | st.text(max_size=5),
+    ),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_obo_lines, max_size=20).map("\n".join))
+    def test_arbitrary_text_raises_only_ontology_error(self, content):
+        try:
+            graph = load_obo(content, "T")
+        except OntologyError:
+            return
+        for term in graph.terms:
+            assert 0.0 <= graph.specificity(term).score <= 1.0
