@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -362,33 +363,13 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
     """Rebuild entry scores from scores.tsv (plus scores.json when present).
 
     Raises ``ValueError`` naming the row on a non-numeric or non-finite cell
-    or a ``histogram_column`` value outside [0, 100], and naming the study
-    on a scores.json record with a missing key or an unknown type.
+    or a ``histogram_column`` value outside [0, 100], and naming the record
+    on a malformed scores.json record (see :func:`_read_per_type`).
     """
     if not scores_path.exists():
         return []
-    per_type_by_study: dict[str, dict[AnnotationType, TypeScore]] = {}
     json_path = scores_path.with_name("scores.json")
-    if json_path.exists():
-        for record in json.loads(json_path.read_text(encoding="utf-8")):
-            where = f"{json_path.name} record {record.get('study_id')}"
-            types = {}
-            try:
-                for type_name, ts in record.get("types", {}).items():
-                    # before the keys, so an unknown type is reported as such
-                    annotation_type = AnnotationType(type_name)
-                    types[annotation_type] = TypeScore(
-                        annotation_count=ts["annotation_count"],
-                        term_count=ts["term_count"],
-                        score_sum=ts["score_sum"],
-                        by_annotations=ts["by_annotations"],
-                        by_terms=ts["by_terms"],
-                    )
-                per_type_by_study[record["study_id"]] = types
-            except KeyError as exc:
-                raise ValueError(f"{where}: missing key {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+    per_type_by_study = _read_per_type(json_path) if json_path.exists() else {}
 
     entries = []
     lines = scores_path.read_text(encoding="utf-8").splitlines()
@@ -417,3 +398,63 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
             raise ValueError(f"line {line_number} ({study_id}): {exc}") from exc
         entries.append(entry)
     return entries
+
+
+#: scores.json per-type fields, each with the JSON kind it must have.
+_TYPE_SCORE_FIELDS = (
+    ("annotation_count", int),
+    ("term_count", int),
+    ("score_sum", float),
+    ("by_annotations", float),
+    ("by_terms", float),
+)
+_KIND_NAMES = {dict: "an object", str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _read_per_type(json_path: Path) -> dict[str, dict[AnnotationType, TypeScore]]:
+    """Per-type scores by study id, read from a scores.json file.
+
+    Raises ``ValueError`` naming the record (its study id, or its position
+    when it has none) and the key when the record is not an object, lacks a
+    key, names an unknown type, or holds a value of the wrong JSON kind.
+    """
+    records = json.loads(json_path.read_text(encoding="utf-8"))
+    if not isinstance(records, list):
+        raise ValueError(f"{json_path.name}: not a list of records")
+    per_type_by_study: dict[str, dict[AnnotationType, TypeScore]] = {}
+    for position, record in enumerate(records, start=1):
+        label = record.get("study_id") if isinstance(record, dict) else None
+        where = f"{json_path.name} record {label if isinstance(label, str) else position}"
+        try:
+            _expect(record, dict, "record")
+            study_id = _expect(record["study_id"], str, "study_id")
+            types = {}
+            for type_name, ts in _expect(record.get("types", {}), dict, "types").items():
+                # before the keys, so an unknown type is reported as such
+                annotation_type = AnnotationType(type_name)
+                _expect(ts, dict, type_name)
+                types[annotation_type] = TypeScore(
+                    **{
+                        key: _expect(ts[key], kind, f"{type_name} {key}")
+                        for key, kind in _TYPE_SCORE_FIELDS
+                    }
+                )
+            per_type_by_study[study_id] = types
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return per_type_by_study
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` when it has the JSON ``kind``; else a ``ValueError`` naming ``what``."""
+    if isinstance(value, bool):  # JSON true/false: bool subclasses int
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ValueError(f"{what} is {reprlib.repr(value)}, not {_KIND_NAMES[kind]}")
+    return value

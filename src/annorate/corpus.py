@@ -17,8 +17,6 @@ outputs are reproducible bit for bit.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .isatab import SCORED_TYPES, AnnotationType
 from .scoring import EntryScore
 
@@ -61,6 +59,11 @@ def corpus_stats(entries: list[EntryScore], column: str = "log_terms") -> Corpus
     _check_column(column)
     if not entries:
         raise EmptyCorpusError("no entries")
+    # numpy is imported where it is used: its import is a large share of a
+    # short process's start-up, and score and audit import this module
+    # without calling into it.
+    import numpy as np
+
     values = np.array([getattr(e, column) for e in entries], dtype=float)
     mean = float(values.mean())
     std_dev = float(values.std(ddof=1)) if len(values) > 1 else 0.0
@@ -86,6 +89,7 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
     _check_column(column)
     if not entries:
         raise EmptyCorpusError("no entries")
+    import numpy as np
 
     counts = [0] * 10
     for entry in entries:

@@ -22,10 +22,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .accession import AccessionRef, Resolution
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -223,6 +225,8 @@ def probe_accession(
     signatures; Broken on 4xx/5xx, a signature match, or a network error
     (transient errors are retried once, then treated as Broken).
     """
+    import requests
+
     if not ref.is_scorable:
         raise ValueError(f"cannot probe accession of kind {ref.kind.value}")
     response = None
@@ -245,7 +249,12 @@ def probe_accession(
 
 def _get_with_retries(
     url: str, timeout: float, retries: int, backoff: float
-) -> requests.Response:
+) -> "requests.Response":
+    # requests is imported by the two functions that use it, not by the
+    # module: its import is a large share of a short process's start-up,
+    # and score, stats and audit never use it.
+    import requests
+
     last_error: Exception | None = None
     for attempt in range(retries + 1):
         try:

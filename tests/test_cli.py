@@ -17,6 +17,15 @@ from annorate.isatab import SCORED_TYPES, AnnotationType
 
 MTBLS95_ROW = "MTBLS95\t8\t41.6250000\t50.2075956\t44.9166667\t53.5223527"
 
+#: A well-formed per-type value of a scores.json record.
+GOOD_TYPE_SCORE = {
+    "annotation_count": 1,
+    "term_count": 2,
+    "score_sum": 0.5,
+    "by_annotations": 0.5,
+    "by_terms": 0.25,
+}
+
 
 #: One slot of each accession kind, an empty-label annotation, and a Person
 #: accession that scoring must not look at.
@@ -379,6 +388,20 @@ class TestStats:
         [
             ({"Design": {}}, "missing key 'annotation_count'"),
             ({"Methods": {}}, "'Methods' is not a valid AnnotationType"),
+            ("Design", "types is 'Design', not an object"),
+            ({"Design": [1, 2]}, "Design is [1, 2], not an object"),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, by_annotations="x")},
+                "Design by_annotations is 'x', not a finite number",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, annotation_count=1.5)},
+                "Design annotation_count is 1.5, not an integer",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, by_terms=True)},
+                "Design by_terms is True, not a finite number",
+            ),
         ],
     )
     def test_bad_scores_json_record_exits_with_study(self, tmp_path, capsys, types, message):
@@ -396,6 +419,32 @@ class TestStats:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert "MTBLS1" in err and message in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([["MTBLS1"]], "scores.json record 1: record is ['MTBLS1'], not an object"),
+            ([{"study_id": "MTBLS1", "types": {}}, 7], "record 2: record is 7, not an object"),
+            ([{"types": {}}], "scores.json record 1: missing key 'study_id'"),
+            ([{"study_id": ["MTBLS1"]}], "record 1: study_id is ['MTBLS1'], not a string"),
+            ({"MTBLS1": {}}, "scores.json: not a list of records"),
+        ],
+    )
+    def test_scores_json_of_wrong_shape_exits_with_record(
+        self, tmp_path, capsys, payload, message
+    ):
+        (tmp_path / "scores.tsv").write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "scores.json").write_text(json.dumps(payload), encoding="utf-8")
+        code = run_cli(["stats", "--scores", str(tmp_path / "scores.tsv"),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert message in err
 
 
 class TestAudit:
@@ -523,3 +572,24 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0
         assert "fetch" in result.stdout and "audit" in result.stdout
+
+
+class TestStartup:
+    def test_import_leaves_numpy_and_requests_unloaded(self):
+        """score, stats and audit processes do not pay for unused imports."""
+        import os
+        import subprocess
+        import sys
+
+        import annorate
+
+        src = str(Path(annorate.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, annorate.cli; "
+             "print(sorted({'numpy', 'requests'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -138,6 +138,20 @@ class TestLoadObo:
         content = "[Typedef]\nid: part_of\n\n" + CHAIN
         assert len(load_obo(content, "T")) == 3
 
+    def test_duplicated_is_a_line_counts_once(self):
+        content = "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1\nis_a: T:1 ! again\n"
+        graph = load_obo(content, "T")
+        assert graph.parents("T:2") == {"T:1"}
+        assert graph.children("T:1") == {"T:2"}
+        assert graph.depth("T:2") == 1
+        assert graph.branch_length("T:1") == 1
+
+    def test_self_loop_is_a_cycle(self):
+        content = "[Term]\nid: T:1\nis_a: T:1\n\n[Term]\nid: T:2\nis_a: T:1\n"
+        with pytest.raises(CycleDetectedError) as err:
+            load_obo(content, "T")
+        assert err.value.cycle == ["T:1", "T:1"]
+
     def test_trailing_comment_stripped(self):
         content = "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1 ! the root\n"
         graph = load_obo(content, "T")
@@ -179,6 +193,10 @@ class TestMetrics:
             graph.branch_length("T:999")
         with pytest.raises(UnknownTermError):
             graph.specificity("T:999")
+        with pytest.raises(UnknownTermError):
+            graph.parents("T:999")
+        with pytest.raises(UnknownTermError):
+            graph.children("T:999")
 
     def test_matches_oracle_on_random_dags(self):
         rng = random.Random(4242)
@@ -263,6 +281,25 @@ class TestGraphConstruction:
         loaded = load_obo(CHAIN, "T")
         for term in parents:
             assert direct.specificity(term) == loaded.specificity(term)
+
+    def test_duplicate_parents_in_mapping_count_once(self):
+        graph = OntologyGraph("T", {"T:1": [], "T:2": ["T:1", "T:1"]})
+        assert graph.parents("T:2") == {"T:1"}
+        assert graph.children("T:1") == {"T:2"}
+        assert graph.depth("T:2") == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_structure_matches_input_mapping(self, rnd):
+        parents = random_parents(rnd)
+        children = {t: {c for c, ps in parents.items() if t in ps} for t in parents}
+        roots = {t for t, ps in parents.items() if not ps}
+        for graph in (OntologyGraph("T", parents), load_obo(obo_from_parents(parents), "T")):
+            assert graph.terms == set(parents)
+            assert graph.roots == roots
+            for term in parents:
+                assert graph.parents(term) == parents[term]
+                assert graph.children(term) == children[term]
 
 
 #: Term ids from two prefixes, few enough that stanzas collide and cycle.
