@@ -13,9 +13,23 @@ score over entries annotated for that type, and per-type averages of the
 annotation-vs-term weighting gap over entries with at least one annotation
 anywhere. Boxplot quartiles use the median-exclusive (Tukey) method so
 outputs are reproducible bit for bit.
+
+Every sum is taken in one fixed pairwise order (Higham, *The accuracy of
+floating point summation*, SIAM J. Sci. Comput. 1993): fewer than 8 values
+are added in order from 0.0; 8 to 128 values are added in 8 interleaved
+lanes, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
+remainder is added in order; longer lists are split at half their length
+rounded down to a multiple of 8, and each half is summed the same way.
+This is the order of the usual float64 array reduction, so the mean, the
+standard deviation and the gaps equal an array library's bit for bit, and
+``stats`` need not import one: that import alone would be about half of a
+run.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from math import sqrt
+from operator import add
 
 from .isatab import SCORED_TYPES, AnnotationType
 from .scoring import EntryScore
@@ -59,22 +73,19 @@ def corpus_stats(entries: list[EntryScore], column: str = "log_terms") -> Corpus
     _check_column(column)
     if not entries:
         raise EmptyCorpusError("no entries")
-    # numpy is imported where it is used: its import is a large share of a
-    # short process's start-up, and score and audit import this module
-    # without calling into it.
-    import numpy as np
-
-    values = np.array([getattr(e, column) for e in entries], dtype=float)
-    mean = float(values.mean())
-    std_dev = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    values = [float(getattr(e, column)) for e in entries]
+    n = len(values)
+    mean = _pairwise_sum(values) / n
+    squares = [(v - mean) * (v - mean) for v in values]
+    std_dev = sqrt(_pairwise_sum(squares) / (n - 1)) if n > 1 else 0.0
     annotated = [getattr(e, column) for e in entries if e.total_annotations >= 1]
     return CorpusStats(
-        n=len(values),
+        n=n,
         mean=mean,
         std_dev=std_dev,
-        max=float(values.max()),
+        max=max(values),
         min_annotated=min(annotated) if annotated else None,
-        pct_above_mean=100.0 * int((values > mean).sum()) / len(values),
+        pct_above_mean=100.0 * sum(v > mean for v in values) / n,
     )
 
 
@@ -89,7 +100,6 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
     _check_column(column)
     if not entries:
         raise EmptyCorpusError("no entries")
-    import numpy as np
 
     counts = [0] * 10
     for entry in entries:
@@ -120,11 +130,31 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
             if annotation_type in e.per_type
         ]
         if diffs:
-            gaps[annotation_type] = 100.0 * float(np.mean(diffs))
+            gaps[annotation_type] = 100.0 * (_pairwise_sum(diffs) / len(diffs))
 
     return Distribution(
         histogram=histogram, per_type_boxplot=boxplots, avg_weighting_gap=gaps
     )
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum ``values`` in the pairwise order of the module docstring.
+
+    Each lane starts from 0.0 rather than from its first value; that can
+    change only the sign of a zero sum, and the array reduction adds its
+    0.0 identity to its total too, so signed zeros agree as well.
+    """
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        m = n - n % 8
+        r = [reduce(add, values[lane:m:8], 0.0) for lane in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[m:], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _check_column(column: str) -> None:

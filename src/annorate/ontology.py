@@ -66,9 +66,9 @@ class OntologyGraph:
     """Immutable is-a DAG over the terms of one ontology prefix.
 
     ``parents`` maps every term to its parent terms, each of which must be a
-    key too; repeated parents count once. Terms are numbered in the
-    mapping's order, and depth and height are precomputed at construction,
-    so a query is one dictionary lookup plus list indexing.
+    key too (else ``OntologyError``); repeated parents count once. Terms are
+    numbered in the mapping's order, and depth and height are precomputed at
+    construction, so a query is one dictionary lookup plus list indexing.
     """
 
     def __init__(self, prefix: str, parents: Mapping[str, Iterable[str]]):
@@ -76,9 +76,14 @@ class OntologyGraph:
         self._names = names = list(parents)
         self._index = index = dict(zip(names, range(len(names))))
         up: list[tuple[int, ...]] = []  # parent numbers of each term
-        for ps in parents.values():
-            ids = tuple(map(index.__getitem__, ps))
-            up.append(tuple(set(ids)) if len(ids) > 1 else ids)
+        try:
+            for ps in parents.values():
+                ids = tuple(map(index.__getitem__, ps))
+                up.append(tuple(set(ids)) if len(ids) > 1 else ids)
+        except KeyError as exc:
+            raise OntologyError(
+                f"{names[len(up)]}: parent {exc.args[0]} is not a term of the graph"
+            ) from None
         self._parents = up
         self._children: list[list[int]] = [[] for _ in names]
         for term, ps in enumerate(up):
@@ -170,7 +175,9 @@ def load_obo(content: str, prefix: str) -> OntologyGraph:
     """Build an :class:`OntologyGraph` from OBO flat-file content.
 
     Keeps the non-obsolete ``[Term]`` stanzas whose id carries ``prefix``
-    (the part before the first colon). ``is_a`` targets outside the prefix,
+    (the part before the first colon). Repeated stanzas of one id merge, as
+    in OBO 1.4: the term gets the union of their ``is_a`` parents and is
+    obsolete if any of them says so. ``is_a`` targets outside the prefix,
     or pointing at obsolete/unknown terms, are dropped; a term left with no
     parents becomes a root.
 
@@ -179,10 +186,18 @@ def load_obo(content: str, prefix: str) -> OntologyGraph:
     """
     stanzas = _term_stanzas(content)
     keep: dict[str, list[str]] = {}
+    obsolete_ids = set()
     for term_id, parents, obsolete in stanzas:
-        if obsolete or _id_prefix(term_id) != prefix:
+        if _id_prefix(term_id) != prefix:
             continue
-        keep[term_id] = parents
+        if obsolete:
+            obsolete_ids.add(term_id)
+        elif term_id in keep:
+            keep[term_id] += parents  # the graph counts a repeated parent once
+        else:
+            keep[term_id] = parents
+    for term_id in obsolete_ids:
+        keep.pop(term_id, None)
     if not keep:
         raise EmptyOntologyError(f"no terms with prefix {prefix!r} parsed")
     for term_id, parents in keep.items():

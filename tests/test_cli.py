@@ -593,3 +593,30 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_stats_run_leaves_numpy_unloaded(self, tmp_path):
+        """stats sums in pure Python: its process never imports numpy."""
+        import os
+        import subprocess
+        import sys
+
+        import annorate
+
+        src = str(Path(annorate.__file__).resolve().parents[1])
+        data = Path(__file__).resolve().parents[1] / "demos" / "data"
+        assert run_cli(["score", "--corpus", str(data / "corpus"),
+                        "--catalog", str(data / "ontologies" / "catalog.tsv"),
+                        "--out", str(tmp_path)]) == cli.EXIT_OK
+        argv = ["stats", "--scores", str(tmp_path / "scores.tsv"),
+                "--out", str(tmp_path), "--log-base-check"]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, annorate.cli; "
+             f"code = annorate.cli.main({argv!r}); "
+             "print(code, 'numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 False"
+        assert (tmp_path / "stats.tsv").is_file()

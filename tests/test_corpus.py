@@ -1,15 +1,22 @@
 """Corpus statistics and distribution data."""
 
 import math
+import random
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annorate.corpus import (
+    SCORE_COLUMNS,
+    CorpusStats,
     EmptyCorpusError,
     corpus_stats,
     distribution,
 )
-from annorate.isatab import AnnotationType
+from annorate.isatab import SCORED_TYPES, AnnotationType
 from annorate.scoring import EntryScore, TypeScore, log_transform
 
 from conftest import read_reference_scores
@@ -43,6 +50,106 @@ def reference_entries():
         make_entry(sid, log_terms=lt, log_annotations=la, total_annotations=total,
                    global_terms=st, global_annotations=sa)
         for sid, total, st, lt, sa, la in read_reference_scores()
+    ]
+
+
+def _numpy_stats(entries, column):
+    """The statistics as numpy computes them: the oracle for the pairwise sums."""
+    values = np.array([getattr(e, column) for e in entries], dtype=float)
+    mean = float(values.mean())
+    annotated = [getattr(e, column) for e in entries if e.total_annotations >= 1]
+    return CorpusStats(
+        n=len(values),
+        mean=mean,
+        std_dev=float(values.std(ddof=1)) if len(values) > 1 else 0.0,
+        max=float(values.max()),
+        min_annotated=min(annotated) if annotated else None,
+        pct_above_mean=100.0 * int((values > mean).sum()) / len(values),
+    )
+
+
+def _numpy_gaps(entries):
+    """Average weighting gap per type as numpy computes it."""
+    gaps = {}
+    for annotation_type in SCORED_TYPES:
+        diffs = [
+            e.per_type[annotation_type].by_annotations
+            - e.per_type[annotation_type].by_terms
+            for e in entries
+            if e.total_annotations >= 1 and annotation_type in e.per_type
+        ]
+        if diffs:
+            gaps[annotation_type] = 100.0 * float(np.mean(diffs))
+    return gaps
+
+
+def _bits(values):
+    """Each float's repr: distinct doubles, -0.0 and 0.0 included, differ."""
+    return [repr(v) for v in values]
+
+
+#: Sizes on both sides of the 8-lane, 128-value block and split boundaries.
+_SIZES = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 137, 255, 256,
+                          257, 300, 1000, 2049]) | st.integers(1, 3000)
+
+
+def _draw_scores(rnd, n):
+    """``n`` scores in [0, 100]: runs, 0.0, 100.0, and exact or arbitrary floats.
+
+    In a balanced column every value is the centre or one of a pair placed
+    symmetrically around it, on a quarter grid, so the sums are exact and
+    the mean lands on the centre, which is not above itself.
+    """
+    if rnd.random() < 0.25:
+        centre = rnd.randint(0, 400) / 4
+        values = [centre] * rnd.randint(1, n)
+        while len(values) + 2 <= n:
+            d = rnd.randint(0, int(min(centre, 100 - centre) * 4)) / 4
+            values += [centre - d, centre + d]
+        values += [centre] * (n - len(values))
+        rnd.shuffle(values)
+        return values
+    values = []
+    for _ in range(n):
+        roll = rnd.random()
+        if values and roll < 0.3:
+            values.append(values[-1])
+        elif roll < 0.45:
+            values.append(rnd.choice((0.0, 100.0)))
+        elif roll < 0.6:
+            values.append(rnd.randint(0, 400) / 4)
+        else:
+            values.append(rnd.uniform(0.0, 100.0))
+    return values
+
+
+def _draw_type_score(rnd):
+    """A per-type score whose gap is often 0.0, 100.0 or -0.0."""
+    roll = rnd.random()
+    if roll < 0.15:
+        by_annotations, by_terms = -0.0, 0.0  # -0.0 - 0.0 == -0.0
+    elif roll < 0.3:
+        by_annotations = by_terms = rnd.choice((0.0, 0.5, 1.0))
+    elif roll < 0.4:
+        by_annotations, by_terms = 100.0, 0.0
+    else:
+        by_annotations, by_terms = rnd.random(), rnd.random()
+    count = rnd.randint(0, 3)
+    return TypeScore(count, count + rnd.randint(0, 3), 0.0, by_annotations, by_terms)
+
+
+def _draw_entries(rnd, n):
+    columns = {c: _draw_scores(rnd, n) for c in SCORE_COLUMNS}
+    return [
+        make_entry(
+            f"E{i}",
+            total_annotations=rnd.choice((0, 1, 1, 1, 4)),
+            per_type={
+                t: _draw_type_score(rnd) for t in SCORED_TYPES if rnd.random() < 0.8
+            },
+            **{c: values[i] for c, values in columns.items()},
+        )
+        for i in range(n)
     ]
 
 
@@ -99,6 +206,21 @@ class TestCorpusStats:
                                                       total_annotations=1)])
         assert extended.mean == pytest.approx(base.mean)
         assert extended.pct_above_mean <= base.pct_above_mean
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SIZES, st.integers(0, 2**32))
+    def test_equals_numpy_oracle_bit_for_bit(self, n, seed):
+        # a seeded generator, not st.randoms(): hypothesis would record
+        # each of the tens of thousands of draws
+        entries = _draw_entries(random.Random(seed), n)
+        for column in SCORE_COLUMNS:
+            assert _bits(astuple(corpus_stats(entries, column))) == _bits(
+                astuple(_numpy_stats(entries, column))
+            )
+        gaps = distribution(entries).avg_weighting_gap
+        expected = _numpy_gaps(entries)
+        assert list(gaps) == list(expected)
+        assert _bits(gaps.values()) == _bits(expected.values())
 
     def test_reference_corpus_with_reconciling_zero_row(self):
         entries = reference_entries() + [make_entry("MTBLS_MISSING")]

@@ -152,6 +152,24 @@ class TestLoadObo:
             load_obo(content, "T")
         assert err.value.cycle == ["T:1", "T:1"]
 
+    def test_repeated_stanza_merges_parents(self):
+        content = (
+            "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1\n\n"
+            "[Term]\nid: T:3\nis_a: T:2\n\n[Term]\nid: T:2\n\n"
+            "[Term]\nid: T:3\nis_a: T:1\n"
+        )
+        graph = load_obo(content, "T")
+        assert graph.roots == {"T:1"}
+        assert graph.depth("T:2") == 1
+        assert graph.parents("T:3") == {"T:1", "T:2"}
+        assert graph.depth("T:3") == 2
+
+    def test_repeated_stanza_marked_obsolete(self):
+        content = CHAIN + "\n[Term]\nid: T:3\nis_obsolete: true\n"
+        graph = load_obo(content, "T")
+        assert "T:3" not in graph
+        assert graph.terms == {"T:1", "T:2"}
+
     def test_trailing_comment_stripped(self):
         content = "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1 ! the root\n"
         graph = load_obo(content, "T")
@@ -287,6 +305,10 @@ class TestGraphConstruction:
         assert graph.parents("T:2") == {"T:1"}
         assert graph.children("T:1") == {"T:2"}
         assert graph.depth("T:2") == 1
+
+    def test_unknown_parent_names_term_and_parent(self):
+        with pytest.raises(OntologyError, match="T:2: parent T:1 is not a term"):
+            OntologyGraph("T", {"T:2": ["T:1"]})
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
