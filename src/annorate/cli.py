@@ -14,6 +14,7 @@ import math
 import os
 import reprlib
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -39,6 +40,15 @@ SCORES_TSV_COLUMNS = (
     "log_score_terms",
     "score_annotations",
     "log_score_annotations",
+)
+
+#: scores.json per-type fields, in output order, each with the JSON kind it must have.
+_TYPE_SCORE_FIELDS = (
+    ("annotation_count", int),
+    ("term_count", int),
+    ("score_sum", float),
+    ("by_annotations", float),
+    ("by_terms", float),
 )
 
 ENV_BASE_URL = "ANNORATE_BASE_URL"
@@ -247,17 +257,14 @@ def cmd_audit(args) -> int:
     findings.extend(audit_corpus(studies, near_dup_threshold=args.near_dup_threshold))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    report = [
-        {"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
-        for f in findings
-    ]
-    with open(args.out / "audit.json", "w", encoding="utf-8", newline="\n") as out:
-        json.dump(report, out, indent=2)
-        out.write("\n")
+    _write_json_list(
+        args.out / "audit.json",
+        ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence} for f in findings),
+    )
     for failure in failures:
         print(f"skipped: {failure}", file=sys.stderr)
-    print(f"{len(report)} findings written to {args.out / 'audit.json'}")
-    if report and args.fail_on_findings:
+    print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
+    if findings and args.fail_on_findings:
         return EXIT_FINDINGS
     return EXIT_OK
 
@@ -302,37 +309,79 @@ def _write_scores_tsv(path: Path, scores: list[EntryScore]) -> None:
 
 
 def _write_scores_json(path: Path, results, resolver) -> None:
-    payload = []
-    for result in results:
-        score = result.score
-        details = annotation_details(score, resolver)
-        types = {}
-        for annotation_type in SCORED_TYPES:
-            ts = score.per_type[annotation_type]
-            types[annotation_type.value] = {
-                "annotation_count": ts.annotation_count,
-                "term_count": ts.term_count,
-                "score_sum": ts.score_sum,
-                "by_annotations": ts.by_annotations,
-                "by_terms": ts.by_terms,
-                "annotations": details[annotation_type.value],
-            }
-        payload.append(
-            {
-                "study_id": score.study_id,
-                "source_path": result.metadata.source_path,
-                "total_annotations": score.total_annotations,
-                "global_terms": score.global_terms,
-                "log_terms": score.log_terms,
-                "global_annotations": score.global_annotations,
-                "log_annotations": score.log_annotations,
-                "warnings": result.metadata.warnings,
-                "types": types,
-            }
-        )
+    _write_json_list(path, (_score_record(result, resolver) for result in results))
+
+
+def _score_record(result, resolver) -> dict:
+    score = result.score
+    details = annotation_details(score, resolver)
+    types = {}
+    for annotation_type in SCORED_TYPES:
+        ts = score.per_type[annotation_type]
+        fields = {key: getattr(ts, key) for key, _ in _TYPE_SCORE_FIELDS}
+        fields["annotations"] = details[annotation_type.value]
+        types[annotation_type.value] = fields
+    return {
+        "study_id": score.study_id,
+        "source_path": result.metadata.source_path,
+        "total_annotations": score.total_annotations,
+        "global_terms": score.global_terms,
+        "log_terms": score.log_terms,
+        "global_annotations": score.global_annotations,
+        "log_annotations": score.log_annotations,
+        "warnings": result.metadata.warnings,
+        "types": types,
+    }
+
+
+def _write_json_list(path: Path, records) -> None:
+    """Write ``json.dump(list(records), out, indent=2)`` and a newline, record by record.
+
+    Each record is encoded and written before the next is asked for, so the
+    whole document never sits in memory.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        opening = "[\n  "
+        for record in records:
+            out.write(opening + _json_indented(record, "  "))
+            opening = ",\n  "
+        out.write("[]\n" if opening == "[\n  " else "\n]\n")
+
+
+def _json_indented(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` encodes it, nested at ``indent``.
+
+    The pure-Python encoder that ``json`` falls back to whenever ``indent`` is
+    set is several times slower. Only the kinds the reports hold are taken:
+    str, int, finite float, None, and lists and str-keyed dicts of them.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r} in a report")
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if kind is list:
+        items = [_json_indented(item, inner) for item in value]
+        brackets = "[]"
+    elif kind is dict:
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_indented(item, inner)
+            for key, item in value.items()
+        ]
+        brackets = "{}"
+    else:
+        raise TypeError(f"{value!r} is not a report JSON value")
+    if not items:
+        return brackets
+    separator = ",\n" + inner
+    return brackets[0] + "\n" + inner + separator.join(items) + "\n" + indent + brackets[1]
 
 
 def _log_base_mismatches(entries: list[EntryScore]) -> list[tuple[str, str]]:
@@ -362,7 +411,9 @@ def _finite(cell: str) -> float:
 def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
     """Rebuild entry scores from scores.tsv (plus scores.json when present).
 
-    Raises ``ValueError`` naming the row on a non-numeric or non-finite cell
+    Rows and records that share a study id are paired in file order: the
+    k-th row of an id takes the per-type scores of the k-th record of that
+    id. Raises ``ValueError`` naming the row on a non-numeric or non-finite cell
     or a ``histogram_column`` value outside [0, 100], and naming the record
     on a malformed scores.json record (see :func:`_read_per_type`).
     """
@@ -381,10 +432,11 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
             log.warning("skipping malformed score row: %r", line)
             continue
         study_id = cells[0]
+        per_type = per_type_by_study.get(study_id)
         try:
             entry = EntryScore(
                 study_id=study_id,
-                per_type=per_type_by_study.get(study_id, {}),
+                per_type=per_type.pop(0) if per_type else {},
                 global_terms=_finite(cells[2]),
                 log_terms=_finite(cells[3]),
                 global_annotations=_finite(cells[4]),
@@ -400,19 +452,11 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
     return entries
 
 
-#: scores.json per-type fields, each with the JSON kind it must have.
-_TYPE_SCORE_FIELDS = (
-    ("annotation_count", int),
-    ("term_count", int),
-    ("score_sum", float),
-    ("by_annotations", float),
-    ("by_terms", float),
-)
 _KIND_NAMES = {dict: "an object", str: "a string", int: "an integer", float: "a finite number"}
 
 
-def _read_per_type(json_path: Path) -> dict[str, dict[AnnotationType, TypeScore]]:
-    """Per-type scores by study id, read from a scores.json file.
+def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeScore]]]:
+    """Per-type scores by study id, one per record in file order, read from scores.json.
 
     Raises ``ValueError`` naming the record (its study id, or its position
     when it has none) and the key when the record is not an object, lacks a
@@ -421,7 +465,7 @@ def _read_per_type(json_path: Path) -> dict[str, dict[AnnotationType, TypeScore]
     records = json.loads(json_path.read_text(encoding="utf-8"))
     if not isinstance(records, list):
         raise ValueError(f"{json_path.name}: not a list of records")
-    per_type_by_study: dict[str, dict[AnnotationType, TypeScore]] = {}
+    per_type_by_study: dict[str, list[dict[AnnotationType, TypeScore]]] = {}
     for position, record in enumerate(records, start=1):
         label = record.get("study_id") if isinstance(record, dict) else None
         where = f"{json_path.name} record {label if isinstance(label, str) else position}"
@@ -439,7 +483,7 @@ def _read_per_type(json_path: Path) -> dict[str, dict[AnnotationType, TypeScore]
                         for key, kind in _TYPE_SCORE_FIELDS
                     }
                 )
-            per_type_by_study[study_id] = types
+            per_type_by_study.setdefault(study_id, []).append(types)
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None
         except ValueError as exc:

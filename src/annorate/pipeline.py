@@ -5,6 +5,11 @@ resolve each slot's accession against an :class:`~annorate.ontology.OntologyCata
 and score entries; the audit reads the same loaded studies. Network probing
 is an optional add-on that only refines *why* an accession could not be
 resolved (broken versus not in the catalog); it never changes scores.
+
+One :class:`AccessionResolver` serves a whole run and remembers, per
+accession URL, both the catalog's depth metrics and the resolution outcome.
+Scoring, the per-annotation report and the audit therefore share a single
+catalog lookup, and at most one probe, for each distinct URL.
 """
 
 import logging
@@ -28,21 +33,30 @@ Prober = Callable[[AccessionRef], Resolution]
 class AccessionResolver:
     """Scores and resolves accessions against a catalog, caching per URL.
 
+    ``metrics`` returns a scorable accession's depth metrics, or None when
+    the catalog lacks its prefix or term; it asks the catalog once per
+    distinct URL (``ref.raw``) and remembers the answer, a miss included.
     ``score`` returns the term's specificity, or 0.0 when it cannot be
     resolved (the annotation still counts). ``resolution`` distinguishes
-    Resolved / Broken / NotInCatalog; Broken requires a prober, otherwise
+    Resolved / Broken / NotInCatalog, also cached per URL, so a prober is
+    called at most once per URL; Broken requires a prober, otherwise
     anything unresolvable is NotInCatalog.
     """
 
     def __init__(self, catalog: OntologyCatalog, prober: Prober | None = None):
         self.catalog = catalog
         self.prober = prober
+        self._metrics: dict[str, DepthMetrics | None] = {}
         self._resolutions: dict[str, Resolution] = {}
 
     def metrics(self, ref: AccessionRef) -> DepthMetrics | None:
         if not ref.is_scorable:
             return None
-        return self.catalog.lookup(ref.ontology_prefix, ref.curie)
+        try:
+            return self._metrics[ref.raw]
+        except KeyError:
+            found = self._metrics[ref.raw] = self.catalog.lookup(ref.ontology_prefix, ref.curie)
+            return found
 
     def score(self, ref: AccessionRef) -> float:
         found = self.metrics(ref)

@@ -18,6 +18,8 @@ rankings are preserved.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable
 
 from .accession import AccessionRef, classify_accession
@@ -111,12 +113,14 @@ def score_entry(metadata: StudyMetadata, scorer: Scorer) -> EntryScore:
         t: type_tally(metadata.slots.get(t, []), scorer) for t in SCORED_TYPES
     }
     n_types = len(SCORED_TYPES)
-    # summation round-off must not push a saturated mean past the log domain
+    # Added left to right, not with the builtin sum, which compensates float
+    # round-off from Python 3.12 on: every version writes the same scores.
+    # Round-off must not push a saturated mean past the log domain.
     global_terms = min(
-        100.0, 100.0 * sum(ts.by_terms for ts in per_type.values()) / n_types
+        100.0, 100.0 * reduce(add, (ts.by_terms for ts in per_type.values()), 0.0) / n_types
     )
     global_annotations = min(
-        100.0, 100.0 * sum(ts.by_annotations for ts in per_type.values()) / n_types
+        100.0, 100.0 * reduce(add, (ts.by_annotations for ts in per_type.values()), 0.0) / n_types
     )
     return EntryScore(
         study_id=metadata.study_id,

@@ -446,6 +446,25 @@ class TestStats:
         assert len(err.splitlines()) == 1
         assert message in err
 
+    def test_studies_sharing_an_id_keep_their_own_type_scores(
+        self, mtbls95_corpus, mtbls95_catalog, tmp_path
+    ):
+        write_study(
+            mtbls95_corpus, "copy",
+            investigation_text(study_id="MTBLS95",
+                               sections={AnnotationType.DESIGN: (["free text"], [])}),
+        )
+        out = tmp_path / "out"
+        assert run_cli(["score", "--corpus", str(mtbls95_corpus),
+                        "--catalog", str(mtbls95_catalog), "--out", str(out)]) == cli.EXIT_OK
+        assert run_cli(["stats", "--scores", str(out / "scores.tsv"),
+                        "--out", str(out)]) == cli.EXIT_OK
+        box_lines = (out / "boxplot.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in box_lines[1:]] == ["Design", "Assay"]
+        gap_lines = (out / "gaps.tsv").read_text().splitlines()
+        gaps = {line.split("\t")[0]: float(line.split("\t")[1]) for line in gap_lines[1:]}
+        assert gaps["Design"] == pytest.approx(100 * (5.53 / 6 - 5.53 / 7), abs=1e-6)
+
 
 class TestAudit:
     def make_problem_corpus(self, corpus):
@@ -526,6 +545,64 @@ class TestAudit:
         empty.mkdir()
         code = run_cli(["audit", "--corpus", str(empty), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NO_INPUT
+
+
+#: Strings a JSON encoder must escape or pass through: non-ASCII, control
+#: characters, quote, backslash, U+2028 and astral characters.
+JSON_TEXT = st.text(st.one_of(
+    st.characters(),
+    st.sampled_from(['"', "\\", "\u2028", "\x00", "\x1f", "\x7f", "\t", "\n", "é",
+                     "\U0001f600"]),
+))
+JSON_SCALAR = st.one_of(
+    JSON_TEXT,
+    st.sampled_from([1e-07, 5e-324, 1e16, -0.0, 0.1 + 0.2, 2**64, -(10**40), 0, None]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(),
+)
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUE)
+    def test_encodes_as_json_dumps_with_indent(self, value):
+        assert cli._json_indented(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(JSON_VALUE, max_size=4))
+    def test_writes_a_list_as_json_dump_with_indent(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            cli._write_json_list(path, iter(records))
+            assert path.read_bytes() == (json.dumps(records, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, float("nan"), float("inf"), -float("inf"), [1, True],
+         {"score": float("nan")}],
+        ids=["true", "false", "nan", "inf", "-inf", "nested-bool", "nested-nan"],
+    )
+    def test_rejects_bool_and_non_finite(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            cli._json_indented(value)
+
+    def test_reports_equal_json_dumps_encoding(self, tmp_path):
+        data = Path(__file__).resolve().parents[1] / "demos" / "data"
+        for command in ("score", "audit"):
+            assert run_cli([command, "--corpus", str(data / "corpus"),
+                            "--catalog", str(data / "ontologies" / "catalog.tsv"),
+                            "--out", str(tmp_path)]) == cli.EXIT_OK
+        for name in ("scores.json", "audit.json"):
+            written = (tmp_path / name).read_bytes()
+            records = json.loads(written)
+            assert records, name
+            assert written == (json.dumps(records, indent=2) + "\n").encode(), name
 
 
 class TestPipelineEquivalence:

@@ -1,7 +1,10 @@
 """Catalog-backed resolution and the offline scoring pipeline."""
 
+from collections import Counter
+
 import pytest
 
+from annorate import cli, ingest
 from annorate.accession import Resolution, classify_accession
 from annorate.isatab import AnnotationType
 from annorate.ontology import OntologyCatalog
@@ -175,3 +178,60 @@ class TestProcessStudy:
         assert design[2]["score"] == pytest.approx(0.78)
         assert all(d["resolution"] == "Resolved" for d in design)
         assert details["Factor"] == []
+
+
+class TestOneLookupPerUrl:
+    """A run asks the catalog, and the prober, at most once per accession URL."""
+
+    #: Scorable URLs, each repeated within and across types and studies;
+    #: GO_LEAF's https form is a distinct URL for the same term.
+    URLS = [GO_LEAF.raw, GO_MID.raw, UNKNOWN_TERM.raw, UNKNOWN_PREFIX.raw,
+            GO_LEAF.raw.replace("http:", "https:")]
+    UNRESOLVED = {UNKNOWN_TERM.raw, UNKNOWN_PREFIX.raw}
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        for number, urls in enumerate((self.URLS * 2, self.URLS[::-1]), start=1):
+            sections = {
+                AnnotationType.DESIGN: (["term"] * len(urls), urls),
+                AnnotationType.ASSAY: (["term", "text"], [self.URLS[0], "http://example.org/1"]),
+            }
+            (corpus / f"S{number}").mkdir(parents=True)
+            (corpus / f"S{number}" / "i_Investigation.txt").write_text(
+                investigation_text(study_id=f"S{number}", sections=sections), encoding="utf-8"
+            )
+        return corpus
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_each_scorable_url_looked_up_once(
+        self, corpus, mtbls95_catalog, tmp_path, monkeypatch, command
+    ):
+        looked_up = []
+        lookup = OntologyCatalog.lookup
+
+        def counting(catalog, prefix, term_id):
+            looked_up.append(term_id)
+            return lookup(catalog, prefix, term_id)
+
+        monkeypatch.setattr(OntologyCatalog, "lookup", counting)
+        argv = [command, "--corpus", str(corpus), "--catalog", str(mtbls95_catalog),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert Counter(looked_up) == Counter(classify_accession(u).curie for u in self.URLS)
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_each_unresolved_url_probed_once(
+        self, corpus, mtbls95_catalog, tmp_path, monkeypatch, command
+    ):
+        probed = []
+
+        def prober(ref):
+            probed.append(ref.raw)
+            return Resolution.BROKEN
+
+        monkeypatch.setattr(ingest, "probe_accession", prober)
+        argv = [command, "--corpus", str(corpus), "--catalog", str(mtbls95_catalog),
+                "--out", str(tmp_path / "out"), "--probe"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(probed) == sorted(self.UNRESOLVED)

@@ -184,6 +184,18 @@ class TestScoreEntry:
         entry = score_entry(metadata, fixed_scorer({url: 1.0}))
         assert entry.global_terms == pytest.approx(25.0)
 
+    def test_global_scores_add_types_left_to_right(self):
+        # a compensated sum (builtin sum from Python 3.12 on) gives 15.0 here
+        scores = dict(zip(SCORED_TYPES, [0.1, 0.2, 0.3, 0.0]))
+        urls = {t: obo_url(t.value, "1") for t in SCORED_TYPES}
+        metadata = make_metadata(
+            **{t.value.lower(): [TermSlot("x", urls[t])] for t in SCORED_TYPES}
+        )
+        entry = score_entry(metadata, fixed_scorer({urls[t]: scores[t] for t in SCORED_TYPES}))
+        expected = 100.0 * (((0.1 + 0.2) + 0.3) + 0.0) / 4
+        assert expected != 15.0
+        assert entry.global_terms == entry.global_annotations == expected
+
     def test_unresolvable_scores_zero_but_counts(self):
         url = obo_url("GONE", "1")
         metadata = make_metadata(design=[TermSlot("x", url)])
