@@ -3,8 +3,9 @@
 All outputs are deterministic for identical inputs: TSV files use tab
 separators, LF line endings, decimal points and 7 decimal places. Exit
 codes are script-friendly: 0 ok, 2 every fetch failed, 3 findings present
-with --fail-on-findings, 64 usage error, 65 no input data or a bad score
-row or record given to stats.
+with --fail-on-findings, 64 usage error, 65 no input data, a --catalog file
+that cannot be read as UTF-8 text, or a bad score row or record given to
+stats.
 """
 
 import argparse
@@ -172,6 +173,8 @@ def cmd_score(args) -> int:
         print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
         return EXIT_NO_INPUT
     resolver = _make_resolver(args.catalog, args.probe)
+    if resolver is None:
+        return EXIT_NO_INPUT
     results = [process_study(study, resolver) for study in studies]
     results.sort(key=lambda r: (-r.score.log_terms, r.score.study_id))
 
@@ -251,6 +254,8 @@ def cmd_audit(args) -> int:
         print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
         return EXIT_NO_INPUT
     resolver = _make_resolver(args.catalog, args.probe)
+    if resolver is None:
+        return EXIT_NO_INPUT
     findings = []
     for study in studies:
         findings.extend(audit_entry(study, resolver.resolution))
@@ -269,9 +274,15 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _make_resolver(catalog_path: Path | None, probe: bool) -> AccessionResolver:
+def _make_resolver(catalog_path: Path | None, probe: bool) -> AccessionResolver | None:
+    """The resolver over ``catalog_path``; None, after a message, if it cannot be read."""
     if catalog_path is not None:
-        catalog = OntologyCatalog.from_file(catalog_path)
+        try:
+            catalog = OntologyCatalog.from_file(catalog_path)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"cannot read catalog {catalog_path}: {reason}", file=sys.stderr)
+            return None
     else:
         log.warning("no ontology catalog supplied; every term scores 0")
         catalog = OntologyCatalog()

@@ -16,23 +16,40 @@ Only ``is_a`` edges contribute; other relationship types and cross-prefix
 parents are dropped at load time. Graphs are immutable after loading and
 safe to query from any number of threads.
 
-A graph numbers its terms 0..n-1 in load order and keeps, per term number,
-a tuple of distinct parent numbers, a list of child numbers, and its depth
-and height in two plain int lists, plus one id-to-number dict. One Kahn
-pass over the numbers gives the topological order and the depths; one
-reverse walk of that order gives the heights. Beyond the id strings that
-is a few small containers per term, so each ``score`` or ``audit`` process
-can afford to build it at start-up: a 55k-term graph builds in ~0.25 s and
-keeps ~17 MiB, ids included (2 vCPU, Python 3.11). Loading an OBO file
-costs about as much again in line parsing, which is now the larger part.
+An OBO file is read as a text stream in chunks of ``CHUNK_CHARS``
+characters. Each chunk is cut just after its last ``"\\n"`` and split into
+lines on its own; no line break spans such a cut, so the lines are those
+of the whole file, and the file is never held in memory at once.
+
+A graph numbers its terms 0..n-1 in load order and keeps no per-term
+Python container: parents and children are two CSR layouts (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., §3.4), each an
+``array('i')`` of offsets plus an ``array('i')`` of term numbers, and depth
+and height are two more ``array('i')``. Beyond that it keeps the list of
+ids and one id-to-number dict. One Kahn pass over the numbers gives the
+topological order and the depths; one reverse walk of that order gives the
+heights.
+
+A generated 250k-term taxonomy (21 MB of OBO) loads in ~2.5 s with a
+process peak of 107 MiB, and a 1M-term one (87 MB) in ~10.6 s with
+371 MiB. Reading the whole file at once and keeping a tuple and a list per
+term took ~3.4 s and 203 MiB, and ~15.5 s and 731 MiB (2 vCPU, Python
+3.11).
 """
 
-from collections.abc import Iterable, Mapping
+from array import array
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import accumulate, chain, compress, repeat
+from operator import not_
 from pathlib import Path
+from typing import TextIO
 import logging
 
 log = logging.getLogger(__name__)
+
+#: Characters read from an OBO stream at a time.
+CHUNK_CHARS = 1 << 20
 
 
 class OntologyError(Exception):
@@ -67,56 +84,69 @@ class OntologyGraph:
 
     ``parents`` maps every term to its parent terms, each of which must be a
     key too (else ``OntologyError``); repeated parents count once. Terms are
-    numbered in the mapping's order, and depth and height are precomputed at
-    construction, so a query is one dictionary lookup plus list indexing.
+    numbered in the mapping's order. The graph keeps no reference to the
+    mapping: parents and children become CSR arrays and depth and height
+    are precomputed, so a query is one dictionary lookup plus array
+    indexing.
     """
 
-    def __init__(self, prefix: str, parents: Mapping[str, Iterable[str]]):
+    def __init__(self, prefix: str, parents: Mapping[str, Collection[str]]):
         self.prefix = prefix
         self._names = names = list(parents)
         self._index = index = dict(zip(names, range(len(names))))
-        up: list[tuple[int, ...]] = []  # parent numbers of each term
+        n = len(names)
+        # The parents of term t are up[up_start[t]:up_start[t + 1]]. A repeated
+        # parent stays repeated: the passes below release its copies together,
+        # and queries return sets.
+        degree = array("i", map(len, parents.values()))
+        self._up_start = up_start = array("i", accumulate(degree, initial=0))
+        self.roots = frozenset(compress(names, map(not_, degree)))
         try:
-            for ps in parents.values():
-                ids = tuple(map(index.__getitem__, ps))
-                up.append(tuple(set(ids)) if len(ids) > 1 else ids)
+            self._up = up = array("i", map(index.__getitem__, chain.from_iterable(parents.values())))
         except KeyError as exc:
-            raise OntologyError(
-                f"{names[len(up)]}: parent {exc.args[0]} is not a term of the graph"
-            ) from None
-        self._parents = up
-        self._children: list[list[int]] = [[] for _ in names]
-        for term, ps in enumerate(up):
-            for p in ps:
-                self._children[p].append(term)
-        self.roots = frozenset(names[t] for t, ps in enumerate(up) if not ps)
-        order, self._depth = self._topological_order()
-        self._height = height = [0] * len(names)
+            missing = exc.args[0]
+            term = next(t for t, ps in parents.items() if missing in ps)
+            raise OntologyError(f"{term}: parent {missing} is not a term of the graph") from None
+        # The children of term t, ascending, are down[down_start[t]:down_start[t + 1]].
+        count = array("i", [0]) * (n + 1)
+        for p in up:
+            count[p + 1] += 1
+        self._down_start = array("i", accumulate(count))
+        self._down = down = array("i", [0]) * len(up)
+        free = self._down_start[:-1]  # each term's next unfilled child slot
+        for term, p in zip(chain.from_iterable(map(repeat, range(n), degree)), up):
+            down[free[p]] = term
+            free[p] += 1
+        # Lists index faster than arrays; these working ones, of small counts
+        # and depths, are dropped once the passes are done.
+        order, self._depth = self._topological_order(list(degree))
+        height = [0] * n
         for term in reversed(order):
             h = height[term] + 1
-            for p in up[term]:
+            for p in up[up_start[term] : up_start[term + 1]]:
                 if height[p] < h:
                     height[p] = h
+        self._height = array("i", height)
 
-    def _topological_order(self) -> tuple[list[int], list[int]]:
-        """Kahn's pass over term numbers; also returns each term's depth."""
-        up, children = self._parents, self._children
-        remaining = [len(ps) for ps in up]
-        order = [t for t, ps in enumerate(up) if not ps]
-        depth = [0] * len(up)
+    def _topological_order(self, remaining: list[int]) -> tuple[array, array]:
+        """Kahn's pass over term numbers, given their parent counts; also returns each depth."""
+        down, down_start = self._down, self._down_start
+        n = len(self._names)
+        order = array("i", compress(range(n), map(not_, remaining)))
+        depth = [0] * n
         for term in order:  # grows while it is walked
             d = depth[term] + 1
-            for child in children[term]:
+            for child in down[down_start[term] : down_start[term + 1]]:
                 if depth[child] < d:
                     depth[child] = d
                 remaining[child] -= 1
                 if not remaining[child]:
                     order.append(child)
-        if len(order) < len(up):
+        if len(order) < n:
             done = set(order)
-            stuck = {t for t in range(len(up)) if t not in done}
+            stuck = {t for t in range(n) if t not in done}
             raise CycleDetectedError(self._find_cycle(stuck))
-        return order, depth
+        return order, array("i", depth)
 
     def _find_cycle(self, stuck: set[int]) -> list[str]:
         # Every stuck node has a parent inside the stuck set; walking up
@@ -127,9 +157,12 @@ class OntologyGraph:
         path = [start]
         while path[-1] not in seen:
             seen[path[-1]] = len(path) - 1
-            nxt = min((p for p in self._parents[path[-1]] if p in stuck), key=by_name)
+            nxt = min((p for p in self._parent_ids(path[-1]) if p in stuck), key=by_name)
             path.append(nxt)
         return [self._names[t] for t in path[seen[path[-1]]:]]
+
+    def _parent_ids(self, i: int) -> array:
+        return self._up[self._up_start[i] : self._up_start[i + 1]]
 
     @property
     def terms(self) -> frozenset[str]:
@@ -142,10 +175,12 @@ class OntologyGraph:
         return len(self._names)
 
     def parents(self, term: str) -> frozenset[str]:
-        return frozenset(self._names[p] for p in self._parents[self._id(term)])
+        return frozenset(map(self._names.__getitem__, self._parent_ids(self._id(term))))
 
     def children(self, term: str) -> frozenset[str]:
-        return frozenset(self._names[c] for c in self._children[self._id(term)])
+        i = self._id(term)
+        kids = self._down[self._down_start[i] : self._down_start[i + 1]]
+        return frozenset(map(self._names.__getitem__, kids))
 
     def depth(self, term: str) -> int:
         """Edge count of the longest path from any root down to ``term``."""
@@ -171,70 +206,78 @@ class OntologyGraph:
             raise UnknownTermError(term) from None
 
 
-def load_obo(content: str, prefix: str) -> OntologyGraph:
+def load_obo(source: str | TextIO, prefix: str) -> OntologyGraph:
     """Build an :class:`OntologyGraph` from OBO flat-file content.
 
-    Keeps the non-obsolete ``[Term]`` stanzas whose id carries ``prefix``
-    (the part before the first colon). Repeated stanzas of one id merge, as
-    in OBO 1.4: the term gets the union of their ``is_a`` parents and is
-    obsolete if any of them says so. ``is_a`` targets outside the prefix,
-    or pointing at obsolete/unknown terms, are dropped; a term left with no
-    parents becomes a root.
+    ``source`` is the content itself or a text stream, which is read in
+    chunks of ``CHUNK_CHARS`` characters. Keeps the non-obsolete ``[Term]``
+    stanzas whose id carries ``prefix`` (the part before the first colon).
+    Repeated stanzas of one id merge, as in OBO 1.4: the term gets the union
+    of their ``is_a`` parents and is obsolete if any of them says so.
+    ``is_a`` targets outside the prefix, or pointing at obsolete/unknown
+    terms, are dropped; a term left with no parents becomes a root.
 
     Raises ``EmptyOntologyError`` when nothing matches and
-    ``CycleDetectedError`` when the retained edges are cyclic.
+    ``CycleDetectedError`` when the retained edges are cyclic. A stream's
+    own errors, such as ``UnicodeDecodeError``, pass through.
     """
-    stanzas = _term_stanzas(content)
-    keep: dict[str, list[str]] = {}
+    keep: dict[str, tuple[str, ...]] = {}
     obsolete_ids = set()
-    for term_id, parents, obsolete in stanzas:
-        if _id_prefix(term_id) != prefix:
-            continue
-        if obsolete:
-            obsolete_ids.add(term_id)
-        elif term_id in keep:
-            keep[term_id] += parents  # the graph counts a repeated parent once
-        else:
-            keep[term_id] = parents
-    for term_id in obsolete_ids:
-        keep.pop(term_id, None)
-    if not keep:
-        raise EmptyOntologyError(f"no terms with prefix {prefix!r} parsed")
-    for term_id, parents in keep.items():
-        keep[term_id] = [p for p in parents if p in keep]
-    return OntologyGraph(prefix, keep)
-
-
-def _term_stanzas(content: str):
-    """Yield (id, is_a parents, is_obsolete) triples from ``[Term]`` stanzas."""
     term_id = None
     parents: list[str] = []
     obsolete = False
     in_term = False
-    for line in content.splitlines():
-        line = line.strip()
-        if line.startswith("["):
-            if in_term and term_id:
-                yield term_id, parents, obsolete
-            in_term = line == "[Term]"
-            term_id, parents, obsolete = None, [], False
-            continue
-        if not in_term or not line:
-            continue
-        tag, _, value = line.partition(":")
-        value = value.split("!", 1)[0].strip()
-        if tag == "id":
-            term_id = value
-        elif tag == "is_a" and value:
-            parents.append(value.split()[0])
-        elif tag == "is_obsolete" and value.lower() == "true":
-            obsolete = True
-    if in_term and term_id:
-        yield term_id, parents, obsolete
+    # A closing header line ends the last stanza like any other.
+    for piece in chain(_pieces(source), ("[",)):
+        for line in piece.splitlines():
+            line = line.strip()
+            if line.startswith("["):
+                if in_term and term_id and term_id.split(":", 1)[0] == prefix:
+                    if obsolete:
+                        obsolete_ids.add(term_id)
+                    elif term_id in keep:
+                        keep[term_id] += tuple(parents)  # the graph counts a repeated parent once
+                    else:
+                        keep[term_id] = tuple(parents)  # half the size of a list
+                in_term = line == "[Term]"
+                term_id, parents, obsolete = None, [], False
+                continue
+            if not in_term or not line:
+                continue
+            tag, _, value = line.partition(":")
+            if tag == "id":
+                term_id = value.split("!", 1)[0].strip()
+            elif tag == "is_a":
+                words = value.split("!", 1)[0].split()
+                if words:
+                    parents.append(words[0])
+            elif tag == "is_obsolete" and value.split("!", 1)[0].strip().lower() == "true":
+                obsolete = True
+    for term_id in obsolete_ids:
+        keep.pop(term_id, None)
+    if not keep:
+        raise EmptyOntologyError(f"no terms with prefix {prefix!r} parsed")
+    known = keep.__contains__
+    for term_id, parents in keep.items():
+        if not all(map(known, parents)):
+            keep[term_id] = tuple(filter(known, parents))
+    return OntologyGraph(prefix, keep)
 
 
-def _id_prefix(term_id: str) -> str:
-    return term_id.split(":", 1)[0]
+def _pieces(source: str | TextIO) -> Iterator[str]:
+    """``source`` as consecutive texts that each end on a line boundary."""
+    if isinstance(source, str):
+        yield source
+        return
+    tail = ""
+    while chunk := source.read(CHUNK_CHARS):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    yield tail
 
 
 class OntologyCatalog:
@@ -242,8 +285,10 @@ class OntologyCatalog:
 
     Built from a TSV file of ``prefix<TAB>obo-path`` lines (relative paths
     resolve against the catalog file's directory). Entries whose OBO file is
-    missing or unloadable are skipped with a warning: an incomplete catalog
-    degrades lookups to ``None``, it never crashes scoring.
+    missing, not UTF-8 or otherwise unloadable are skipped with a warning:
+    an incomplete catalog degrades lookups to ``None``, it never crashes
+    scoring. The catalog file itself must be readable UTF-8 text; otherwise
+    ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
     """
 
     def __init__(self, graphs: dict[str, OntologyGraph] | None = None):
@@ -268,9 +313,9 @@ class OntologyCatalog:
             if not obo_path.is_absolute():
                 obo_path = catalog_path.parent / obo_path
             try:
-                content = obo_path.read_text(encoding="utf-8")
-                graphs[prefix] = load_obo(content, prefix)
-            except (OSError, OntologyError) as exc:
+                with open(obo_path, encoding="utf-8") as obo:
+                    graphs[prefix] = load_obo(obo, prefix)
+            except (OSError, UnicodeDecodeError, OntologyError) as exc:
                 log.warning("catalog prefix %s unavailable: %s", prefix, exc)
         return cls(graphs)
 

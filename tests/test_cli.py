@@ -547,6 +547,65 @@ class TestAudit:
         assert code == cli.EXIT_NO_INPUT
 
 
+class TestCatalogInput:
+    def test_non_utf8_obo_file_degrades_its_prefix(
+        self, mtbls95_corpus, mtbls95_catalog, tmp_path, caplog
+    ):
+        go = mtbls95_catalog.parent / "go.obo"
+        go.write_bytes(go.read_bytes().replace(b"! parent", b"! caf\xe9", 1))
+        out = tmp_path / "out"
+        argv = ["--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog),
+                "--out", str(out)]
+        assert run_cli(["score", *argv]) == cli.EXIT_OK
+        assert "catalog prefix GO unavailable: 'utf-8' codec can't decode" in caplog.text
+        (record,) = json.loads((out / "scores.json").read_text(encoding="utf-8"))
+        annotations = record["types"]["Design"]["annotations"]
+        go_terms = [a for a in annotations if a["term"].startswith("GO:")]
+        assert len(go_terms) == 2
+        for annotation in go_terms:
+            assert annotation["score"] == 0.0
+            assert annotation["depth"] is None
+            assert annotation["resolution"] == "NotInCatalog"
+        others = [a for a in annotations if a["term"] and not a["term"].startswith(("GO:", "MSH:"))]
+        assert others and all(a["resolution"] == "Resolved" for a in others)
+
+        assert run_cli(["audit", *argv]) == cli.EXIT_OK
+        report = json.loads((out / "audit.json").read_text(encoding="utf-8"))
+        unavailable = {f["evidence"] for f in report if f["kind"] == "OntologyUnavailable"}
+        assert unavailable == {
+            "Design: http://purl.obolibrary.org/obo/GO_0030257",
+            "Design: http://purl.obolibrary.org/obo/GO_0045208",
+        }
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_missing_catalog_exits_without_outputs(
+        self, command, mtbls95_corpus, tmp_path, capsys
+    ):
+        catalog = tmp_path / "nowhere" / "catalog.tsv"
+        out = tmp_path / "out"
+        code = run_cli([command, "--corpus", str(mtbls95_corpus), "--catalog", str(catalog),
+                        "--out", str(out)])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == (
+            f"cannot read catalog {catalog}: No such file or directory\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_undecodable_catalog_exits_without_outputs(
+        self, command, mtbls95_corpus, mtbls95_catalog, tmp_path, capsys
+    ):
+        mtbls95_catalog.write_bytes(b"GO\tgo.obo\n# caf\xe9\n")
+        out = tmp_path / "out"
+        code = run_cli([command, "--corpus", str(mtbls95_corpus),
+                        "--catalog", str(mtbls95_catalog), "--out", str(out)])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read catalog {mtbls95_catalog}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 #: Strings a JSON encoder must escape or pass through: non-ASCII, control
 #: characters, quote, backslash, U+2028 and astral characters.
 JSON_TEXT = st.text(st.one_of(

@@ -1,11 +1,15 @@
 """Ontology loading and depth/branch/specificity metrics."""
 
+import io
+import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annorate import ontology
 from annorate.ontology import (
     CycleDetectedError,
     EmptyOntologyError,
@@ -17,6 +21,7 @@ from annorate.ontology import (
 )
 
 from conftest import chain_obo, merge_obo, write_catalog
+from obo_oracle import oracle_load_obo
 
 CHAIN = chain_obo(["T:1", "T:2", "T:3"])
 
@@ -291,6 +296,28 @@ class TestCatalog:
         catalog_file.write_text("# prefix\tpath\n\nT\tt.obo\n", encoding="utf-8")
         assert OntologyCatalog.from_file(catalog_file).prefixes == {"T"}
 
+    def test_non_utf8_obo_file_skipped_with_warning(self, tmp_path, caplog):
+        ids = [f"GO:{i}" for i in range(1000)]
+        catalog_path = write_catalog(tmp_path, {"GO": chain_obo(ids), "T": CHAIN})
+        go = tmp_path / "go.obo"
+        go.write_bytes(go.read_bytes() + b"[Term]\nid: GO:1000\nname: caf\xe9\n")
+        # Small chunks: the bad byte is decoded after many stanzas were parsed.
+        with mock.patch.object(ontology, "CHUNK_CHARS", 64):
+            catalog = OntologyCatalog.from_file(catalog_path)
+        assert catalog.prefixes == {"T"}
+        assert catalog.lookup("GO", "GO:1") is None
+        assert "catalog prefix GO unavailable: 'utf-8' codec can't decode byte 0xe9" in caplog.text
+
+    def test_file_line_breaks_read_as_read_text_does(self, tmp_path):
+        lines = merge_obo(chain_obo([f"T:{i}" for i in range(300)]), DIAMOND).split("\n")
+        raw = "".join(line + end for line, end in zip(lines, itertools.cycle(["\r\n", "\r", "\n"])))
+        (tmp_path / "t.obo").write_bytes(raw.encode("utf-8"))
+        (tmp_path / "catalog.tsv").write_text("T\tt.obo\n", encoding="utf-8")
+        with mock.patch.object(ontology, "CHUNK_CHARS", 7):
+            graph = OntologyCatalog.from_file(tmp_path / "catalog.tsv").get("T")
+        expected = oracle_load_obo((tmp_path / "t.obo").read_text(encoding="utf-8"), "T")
+        assert_same_graph(graph, expected)
+
 
 class TestGraphConstruction:
     def test_direct_construction_matches_loader(self):
@@ -350,3 +377,56 @@ class TestFuzz:
             return
         for term in graph.terms:
             assert 0.0 <= graph.specificity(term).score <= 1.0
+
+
+#: Line breaks that ``str.splitlines`` honours, some of which text mode leaves alone.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def obo_like_text(draw):
+    """Fuzz lines or a random DAG's stanzas, each line ended by any break but maybe the last."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_obo_lines, max_size=30))
+    else:
+        parents = random_parents(draw(st.randoms(use_true_random=False)))
+        lines = obo_from_parents(parents).split("\n")
+    breaks = [draw(_BREAKS) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    if lines and draw(st.booleans()):
+        text = text[: -len(breaks[-1])]
+    return text
+
+
+def load_outcome(load):
+    """The graph ``load()`` builds, or the ``OntologyError`` it raises."""
+    try:
+        return load()
+    except OntologyError as exc:
+        return exc
+
+
+def assert_same_graph(graph, expected):
+    """Equal structure and metrics, or the same error type and cycle."""
+    if isinstance(expected, OntologyError):
+        assert type(graph) is type(expected)
+        assert getattr(graph, "cycle", None) == getattr(expected, "cycle", None)
+        return
+    assert not isinstance(graph, OntologyError), graph
+    assert graph.terms == expected.terms
+    assert graph.roots == expected.roots
+    for term in expected.terms:
+        assert graph.parents(term) == expected.parents(term)
+        assert graph.children(term) == expected.children(term)
+        assert graph.specificity(term) == expected.specificity(term)
+
+
+class TestOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(obo_like_text(), st.integers(min_value=1, max_value=8))
+    def test_stream_in_small_chunks_equals_oracle(self, content, chunk):
+        expected = load_outcome(lambda: oracle_load_obo(content, "T"))
+        with mock.patch.object(ontology, "CHUNK_CHARS", chunk):
+            streamed = load_outcome(lambda: load_obo(io.StringIO(content), "T"))
+        assert_same_graph(streamed, expected)
+        assert_same_graph(load_outcome(lambda: load_obo(content, "T")), streamed)
