@@ -55,6 +55,12 @@ Resolver = Callable[[AccessionRef], Resolution]
 
 DEFAULT_NEAR_DUP_THRESHOLD = 0.10
 
+#: The finding a scorable accession raises for each unresolved outcome.
+_RESOLUTION_FINDINGS = {
+    Resolution.BROKEN: IrregularityKind.BROKEN_ACCESSION,
+    Resolution.NOT_IN_CATALOG: IrregularityKind.ONTOLOGY_UNAVAILABLE,
+}
+
 
 def audit_entry(
     metadata: StudyMetadata, resolution: Resolver | None = None
@@ -77,40 +83,13 @@ def audit_entry(
             label_key = _normalize_label(slot.label)
             if slot.accession:
                 ref = classify_accession(slot.accession)
-                if not slot.label:
-                    findings.append(
-                        Irregularity(
-                            study_id,
-                            IrregularityKind.EMPTY_LABEL_ANNOTATION,
-                            f"{annotation_type.value}: {slot.accession}",
-                        )
-                    )
                 if not ref.is_scorable:
-                    findings.append(
-                        Irregularity(
-                            study_id,
-                            IrregularityKind.NON_PURL_ACCESSION,
-                            f"{annotation_type.value}: {slot.accession}",
-                        )
-                    )
+                    problem = IrregularityKind.NON_PURL_ACCESSION
                 else:
-                    outcome = resolution(ref) if resolution else Resolution.RESOLVED
-                    if outcome is Resolution.BROKEN:
-                        findings.append(
-                            Irregularity(
-                                study_id,
-                                IrregularityKind.BROKEN_ACCESSION,
-                                f"{annotation_type.value}: {slot.accession}",
-                            )
-                        )
-                    elif outcome is Resolution.NOT_IN_CATALOG:
-                        findings.append(
-                            Irregularity(
-                                study_id,
-                                IrregularityKind.ONTOLOGY_UNAVAILABLE,
-                                f"{annotation_type.value}: {slot.accession}",
-                            )
-                        )
+                    problem = _RESOLUTION_FINDINGS.get(resolution(ref)) if resolution else None
+                evidence = f"{annotation_type.value}: {slot.accession}"
+                kinds = (None if slot.label else IrregularityKind.EMPTY_LABEL_ANNOTATION, problem)
+                findings.extend(Irregularity(study_id, kind, evidence) for kind in kinds if kind)
             record = pair_counts.setdefault(
                 (label_key, slot.accession), [0, slot.label, annotation_type]
             )

@@ -2,10 +2,18 @@
 
 All outputs are deterministic for identical inputs: TSV files use tab
 separators, LF line endings, decimal points and 7 decimal places. Exit
-codes are script-friendly: 0 ok, 2 every fetch failed, 3 findings present
-with --fail-on-findings, 64 usage error, 65 no input data, a --catalog file
-that cannot be read as UTF-8 text, or a bad score row or record given to
-stats.
+codes are script-friendly, and each failure prints one line to stderr:
+
+* 0 ok;
+* 2 every fetch failed, or the study listing could not be fetched;
+* 3 findings present with --fail-on-findings;
+* 64 usage error, including an --out that is an existing file or lies
+  under one;
+* 65 no input data, or an input that cannot be read or is malformed: a
+  --catalog file that cannot be read as UTF-8 text, a --ids file that
+  cannot be read, a --scores path that cannot be read (a directory, say),
+  a scores.tsv whose line 1 is not its header, or a bad score row or
+  record given to stats.
 """
 
 import argparse
@@ -132,6 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+    if not existing.is_dir():
+        print(f"--out {args.out}: {existing} is a file, not a directory", file=sys.stderr)
+        return EXIT_USAGE
     if args.command == "fetch":
         return cmd_fetch(args)
     if args.command == "score":
@@ -151,9 +163,17 @@ def run() -> None:
 def cmd_fetch(args) -> int:
     base_url = args.base_url or os.environ.get(ENV_BASE_URL) or ingest.DEFAULT_BASE_URL
     if args.ids is not None:
-        ids = ingest.list_studies(ids_file=args.ids)
+        try:
+            ids = ingest.list_studies(ids_file=args.ids)
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read ids file {args.ids}: {_reason(exc)}", file=sys.stderr)
+            return EXIT_NO_INPUT
     else:
-        ids = ingest.list_studies(base_url=base_url)
+        try:
+            ids = ingest.list_studies(base_url=base_url)
+        except ingest.NetworkError as exc:
+            print(f"cannot list studies: {exc}", file=sys.stderr)
+            return EXIT_ALL_FETCH_FAILED
     manifest = ingest.fetch_corpus(
         ids,
         args.out,
@@ -175,21 +195,24 @@ def cmd_score(args) -> int:
     resolver = _make_resolver(args.catalog, args.probe)
     if resolver is None:
         return EXIT_NO_INPUT
-    results = [process_study(study, resolver) for study in studies]
-    results.sort(key=lambda r: (-r.score.log_terms, r.score.study_id))
+    scored = [(study, process_study(study, resolver)) for study in studies]
+    scored.sort(key=lambda pair: (-pair[1].log_terms, pair[1].study_id))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_scores_tsv(args.out / "scores.tsv", [r.score for r in results])
-    _write_scores_json(args.out / "scores.json", results, resolver)
+    _write_scores_tsv(args.out / "scores.tsv", [score for _, score in scored])
+    _write_scores_json(args.out / "scores.json", scored, resolver)
     for failure in failures:
         print(f"skipped: {failure}", file=sys.stderr)
-    print(f"scored {len(results)} studies into {args.out}")
+    print(f"scored {len(scored)} studies into {args.out}")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     try:
         entries = _read_entries(args.scores, args.score_column)
+    except OSError as exc:
+        print(f"cannot read {exc.filename or args.scores}: {_reason(exc)}", file=sys.stderr)
+        return EXIT_NO_INPUT
     except ValueError as exc:
         print(f"bad score row in {args.scores}: {exc}", file=sys.stderr)
         return EXIT_NO_INPUT
@@ -280,14 +303,18 @@ def _make_resolver(catalog_path: Path | None, probe: bool) -> AccessionResolver 
         try:
             catalog = OntologyCatalog.from_file(catalog_path)
         except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"cannot read catalog {catalog_path}: {reason}", file=sys.stderr)
+            print(f"cannot read catalog {catalog_path}: {_reason(exc)}", file=sys.stderr)
             return None
     else:
         log.warning("no ontology catalog supplied; every term scores 0")
         catalog = OntologyCatalog()
     prober = ingest.probe_accession if probe else None
     return AccessionResolver(catalog, prober=prober)
+
+
+def _reason(exc: Exception) -> str:
+    """An OS error's bare reason (no errno, no path); any other error as it prints."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def _fmt(value) -> str:
@@ -319,12 +346,11 @@ def _write_scores_tsv(path: Path, scores: list[EntryScore]) -> None:
             )
 
 
-def _write_scores_json(path: Path, results, resolver) -> None:
-    _write_json_list(path, (_score_record(result, resolver) for result in results))
+def _write_scores_json(path: Path, scored, resolver) -> None:
+    _write_json_list(path, (_score_record(study, score, resolver) for study, score in scored))
 
 
-def _score_record(result, resolver) -> dict:
-    score = result.score
+def _score_record(study, score: EntryScore, resolver) -> dict:
     details = annotation_details(score, resolver)
     types = {}
     for annotation_type in SCORED_TYPES:
@@ -334,13 +360,13 @@ def _score_record(result, resolver) -> dict:
         types[annotation_type.value] = fields
     return {
         "study_id": score.study_id,
-        "source_path": result.metadata.source_path,
+        "source_path": study.source_path,
         "total_annotations": score.total_annotations,
         "global_terms": score.global_terms,
         "log_terms": score.log_terms,
         "global_annotations": score.global_annotations,
         "log_annotations": score.log_annotations,
-        "warnings": result.metadata.warnings,
+        "warnings": study.warnings,
         "types": types,
     }
 
@@ -424,17 +450,20 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
 
     Rows and records that share a study id are paired in file order: the
     k-th row of an id takes the per-type scores of the k-th record of that
-    id. Raises ``ValueError`` naming the row on a non-numeric or non-finite cell
-    or a ``histogram_column`` value outside [0, 100], and naming the record
-    on a malformed scores.json record (see :func:`_read_per_type`).
+    id. Raises ``ValueError`` when line 1 is not the ``SCORES_TSV_COLUMNS``
+    header, naming the row on a non-numeric or non-finite cell or a
+    ``histogram_column`` value outside [0, 100], and naming the record on a
+    malformed scores.json record (see :func:`_read_per_type`). Raises
+    ``OSError`` when a file cannot be read.
     """
-    if not scores_path.exists():
-        return []
+    lines = scores_path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != "\t".join(SCORES_TSV_COLUMNS):
+        header = ", ".join(SCORES_TSV_COLUMNS)
+        raise ValueError(f"line 1 is not the scores.tsv header ({header})")
     json_path = scores_path.with_name("scores.json")
     per_type_by_study = _read_per_type(json_path) if json_path.exists() else {}
 
     entries = []
-    lines = scores_path.read_text(encoding="utf-8").splitlines()
     for line_number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

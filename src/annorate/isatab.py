@@ -10,8 +10,15 @@ row; when the accession row is shorter, the unmatched trailing labels become
 unannotated terms.
 
 Files may contain several ``STUDY`` blocks; each block parses into its own
-:class:`StudyMetadata`. Parsing is a pure function of its input and safe to
-call concurrently.
+:class:`StudyMetadata`. A ``STUDY`` row with no other non-empty cell opens a
+block. Rows before the first such header belong to no study; a file
+without one is a single block.
+
+Each file is read in one pass over its lines. A line's first cell is
+cleaned (whitespace and one pair of enclosing quotes stripped) and looked
+up in one table of recognized field rows; the other cells are cleaned only
+for those rows and ``STUDY`` rows, and every other row is skipped. Parsing
+is a pure function of its input and safe to call concurrently.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +53,17 @@ TYPE_FIELDS: dict[AnnotationType, str] = {
 ACCESSION_SUFFIX = " Term Accession Number"
 SOURCE_REF_SUFFIX = " Term Source REF"
 IDENTIFIER_FIELD = "Study Identifier"
+
+#: Each recognized field row name: None for the study identifier, otherwise
+#: its annotation type and column (0 labels, 1 accessions, 2 source refs).
+_FIELDS: dict[str, tuple[AnnotationType, int] | None] = {
+    IDENTIFIER_FIELD: None,
+    **{
+        base + suffix: (annotation_type, column)
+        for annotation_type, base in TYPE_FIELDS.items()
+        for column, suffix in enumerate(("", ACCESSION_SUFFIX, SOURCE_REF_SUFFIX))
+    },
+}
 
 
 class MalformedFileError(Exception):
@@ -84,20 +102,42 @@ def parse_investigation(content: str, source_name: str = "") -> list[StudyMetada
     A duplicated field row within a block is ignored in favour of the first
     occurrence and recorded as a warning.
 
-    Raises ``MalformedFileError`` when no recognizable field row appears
-    anywhere in the content.
+    Raises ``MalformedFileError`` when no block holds a recognizable field
+    row.
     """
-    rows = [_split_row(line) for line in content.splitlines()]
-    rows = [r for r in rows if any(cell for cell in r)]
-    blocks = _study_blocks(rows)
-    if not any(_is_recognized_field(r[0]) for block in blocks for r in block):
+    # (field row cells by name, warnings) per block; until the first STUDY
+    # header, the whole content is one block
+    blocks: list[tuple[dict[str, list[str]], list[str]]] = [({}, [])]
+    in_study = False
+    for line in content.splitlines():
+        cells = line.split("\t")
+        name = _clean_cell(cells[0])
+        if name in _FIELDS:
+            fields, warnings = blocks[-1]
+            if name in fields:
+                warnings.append(f"duplicate field row {name!r} ignored (kept first)")
+            else:
+                fields[name] = [_clean_cell(cell) for cell in cells[1:]]
+        elif name == "STUDY" and not any(map(_clean_cell, cells[1:])):
+            if not in_study:  # rows before the first STUDY header belong to no study
+                blocks.clear()
+                in_study = True
+            blocks.append(({}, []))
+    if not any(fields for fields, _ in blocks):
         raise MalformedFileError(
             f"no recognizable investigation field rows in {source_name or 'content'}"
         )
     studies = []
-    for index, block in enumerate(blocks):
+    for index, (fields, warnings) in enumerate(blocks):
+        columns = {annotation_type: [[], [], []] for annotation_type in TYPE_FIELDS}
+        for name, cells in fields.items():
+            if _FIELDS[name] is not None:
+                annotation_type, column = _FIELDS[name]
+                columns[annotation_type][column] = cells
+        study_id = (fields.get(IDENTIFIER_FIELD) or [""])[0]
         fallback = source_name if index == 0 else f"{source_name}_study{index + 1}"
-        studies.append(_parse_block(block, fallback, source_name))
+        slots = {t: _pair_slots(*column) for t, column in columns.items()}
+        studies.append(StudyMetadata(study_id or fallback, slots, source_name, warnings))
     return studies
 
 
@@ -128,64 +168,11 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
     return studies
 
 
-def _split_row(line: str) -> list[str]:
-    return [_clean_cell(c) for c in line.rstrip("\r\n").split("\t")]
-
-
 def _clean_cell(cell: str) -> str:
     cell = cell.strip()
     if len(cell) >= 2 and cell.startswith('"') and cell.endswith('"'):
         cell = cell[1:-1].strip()
     return cell
-
-
-def _is_recognized_field(name: str) -> bool:
-    if name == IDENTIFIER_FIELD:
-        return True
-    for base in TYPE_FIELDS.values():
-        if name in (base, base + ACCESSION_SUFFIX, base + SOURCE_REF_SUFFIX):
-            return True
-    return False
-
-
-def _study_blocks(rows: list[list[str]]) -> list[list[list[str]]]:
-    """Split rows into STUDY blocks; without STUDY headers the file is one block."""
-    starts = [
-        i
-        for i, row in enumerate(rows)
-        if row[0] == "STUDY" and not any(cell for cell in row[1:])
-    ]
-    if not starts:
-        return [rows]
-    return [rows[start:end] for start, end in zip(starts, starts[1:] + [len(rows)])]
-
-
-def _parse_block(
-    block: list[list[str]], fallback_id: str, source_name: str
-) -> StudyMetadata:
-    fields: dict[str, list[str]] = {}
-    warnings: list[str] = []
-    for row in block:
-        name = row[0]
-        if not _is_recognized_field(name):
-            continue
-        if name in fields:
-            warnings.append(f"duplicate field row {name!r} ignored (kept first)")
-            continue
-        fields[name] = row[1:]
-
-    slots: dict[AnnotationType, list[TermSlot]] = {}
-    for annotation_type, base in TYPE_FIELDS.items():
-        labels = fields.get(base, [])
-        accessions = fields.get(base + ACCESSION_SUFFIX, [])
-        sources = fields.get(base + SOURCE_REF_SUFFIX, [])
-        slots[annotation_type] = _pair_slots(labels, accessions, sources)
-
-    identifier_cells = fields.get(IDENTIFIER_FIELD, [])
-    study_id = identifier_cells[0] if identifier_cells and identifier_cells[0] else fallback_id
-    return StudyMetadata(
-        study_id=study_id, slots=slots, source_path=source_name, warnings=warnings
-    )
 
 
 def _pair_slots(

@@ -13,7 +13,6 @@ catalog lookup, and at most one probe, for each distinct URL.
 """
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -76,12 +75,6 @@ class AccessionResolver:
         return outcome
 
 
-@dataclass
-class StudyResult:
-    metadata: StudyMetadata
-    score: EntryScore
-
-
 def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]:
     """Parse every ``i_*.txt`` under a directory, skipping unparseable files.
 
@@ -112,9 +105,9 @@ def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]
     return studies, failures
 
 
-def process_study(metadata: StudyMetadata, resolver: AccessionResolver) -> StudyResult:
+def process_study(metadata: StudyMetadata, resolver: AccessionResolver) -> EntryScore:
     """Score one study with a shared resolver."""
-    return StudyResult(metadata=metadata, score=score_entry(metadata, resolver.score))
+    return score_entry(metadata, resolver.score)
 
 
 def annotation_details(

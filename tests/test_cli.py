@@ -97,6 +97,23 @@ class TestUsageErrors:
                      "--concurrency", "0"])
         assert err.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, input_option",
+        [("fetch", "--ids"), ("score", "--corpus"), ("stats", "--scores"), ("audit", "--corpus")],
+    )
+    @pytest.mark.parametrize("below", ["", "sub/dir"])
+    def test_out_that_is_or_lies_under_a_file_exits_before_any_work(
+        self, tmp_path, capsys, command, input_option, below
+    ):
+        # the missing input alone would exit 65; the --out check comes first
+        file = tmp_path / "out"
+        file.write_text("kept\n", encoding="utf-8")
+        out = file / below if below else file
+        code = run_cli([command, input_option, str(tmp_path / "missing"), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"--out {out}: {file} is a file, not a directory\n"
+        assert file.read_text(encoding="utf-8") == "kept\n"
+
 
 class TestFetch:
     def test_fetch_two_studies(self, stub_server, tmp_path, monkeypatch):
@@ -122,6 +139,24 @@ class TestFetch:
         monkeypatch.setenv(cli.ENV_BASE_URL, server.base_url)
         code = run_cli(["fetch", "--ids", str(ids_file), "--out", str(tmp_path / "c")])
         assert code == cli.EXIT_ALL_FETCH_FAILED
+
+    def test_missing_ids_file_exits_with_message(self, tmp_path, capsys):
+        ids_file = tmp_path / "ids.txt"
+        code = run_cli(["fetch", "--ids", str(ids_file), "--out", str(tmp_path / "c")])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == (
+            f"cannot read ids file {ids_file}: No such file or directory\n"
+        )
+        assert not (tmp_path / "c").exists()
+
+    def test_failed_study_listing_exits_as_nothing_fetched(self, stub_server, tmp_path, capsys):
+        server = stub_server({"/": (404, "no listing here")})
+        code = run_cli(["fetch", "--base-url", server.base_url, "--out", str(tmp_path / "c")])
+        assert code == cli.EXIT_ALL_FETCH_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("cannot list studies: HTTP 404") and err.count("\n") == 1
+        assert server.request_log == ["/"]  # a 404 is not retried
+        assert not (tmp_path / "c").exists()
 
 
 class TestScore:
@@ -293,6 +328,26 @@ class TestStats:
         code = run_cli(["stats", "--scores", str(tmp_path / "nope.tsv"),
                         "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NO_INPUT
+
+    def test_headerless_input_exits_naming_the_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n"
+            "MTBLS2\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(out)])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(scores) in err and "line 1 is not the scores.tsv header" in err
+        assert not out.exists()
+
+    def test_scores_path_that_is_a_directory_exits(self, tmp_path, capsys):
+        code = run_cli(["stats", "--scores", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == f"cannot read {tmp_path}: Is a directory\n"
 
     def test_single_row_input(self, tmp_path):
         scores = tmp_path / "scores.tsv"

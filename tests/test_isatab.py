@@ -23,6 +23,7 @@ from conftest import (
     investigation_text,
     mtbls95_investigation,
 )
+from isatab_oracle import oracle_parse_investigation
 
 # exclude tabs, quotes and every character str.splitlines treats as a break
 _LABEL_BLACKLIST = '\t"\r\n\v\f\x1c\x1d\x1e\x85  '
@@ -281,3 +282,90 @@ class TestFuzz:
             return
         for study in studies:
             assert set(study.slots) == set(AnnotationType)
+
+
+#: Every line boundary ``str.splitlines`` recognizes.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+#: Recognized names, near misses and unknown section rows.
+_ROW_NAMES = _FIELD_NAMES + [
+    "Study Title", "Study Publication DOI", "ONTOLOGY SOURCE REFERENCE", ""
+]
+
+#: How a row name may appear: bare, quoted, padded with whitespace, or both.
+_NAME_FORMS = ["{}", '"{}"', " {} ", "\t{}", '"{} "', ' "{}"']
+
+#: Cells, empty-looking ones (blank, padded, a quoted blank) included.
+_cell = st.sampled_from(
+    ["", " ", '""', '" "', "x", '"x"', " y ", '"a "b" c"', '"',
+     "http://purl.obolibrary.org/obo/GO_0000001"]
+) | st.text(max_size=6)
+
+
+def _row(names, cells):
+    return st.builds(
+        lambda name, form, cells: "\t".join([form.format(name), *cells]),
+        names,
+        st.sampled_from(_NAME_FORMS),
+        st.lists(cells, max_size=4),
+    )
+
+
+#: A STUDY header (its trailing cells empty-looking or not), a field or
+#: section row, or any text.
+_investigation_row = st.one_of(
+    _row(st.just("STUDY"), st.sampled_from(["", " ", '""', '" "', "x"])),
+    _row(st.sampled_from(_ROW_NAMES) | st.text(max_size=8), _cell),
+    st.text(max_size=12),
+)
+
+
+def parse_outcome(parse, content, source_name):
+    try:
+        return parse(content, source_name)
+    except MalformedFileError as exc:
+        return MalformedFileError, str(exc)
+
+
+class TestOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.tuples(_investigation_row, st.sampled_from(_LINE_BREAKS)), max_size=14).map(
+            lambda rows: "".join(row + line_break for row, line_break in rows)
+        ),
+        st.sampled_from(["", "MTBLS1", "i_x"]),
+    )
+    def test_equals_the_reference_parser(self, content, source_name):
+        assert parse_outcome(parse_investigation, content, source_name) == parse_outcome(
+            oracle_parse_investigation, content, source_name
+        )
+
+    @pytest.mark.parametrize("line_break", _LINE_BREAKS)
+    def test_every_line_break_ends_a_row(self, line_break):
+        content = line_break.join(
+            ["STUDY", 'Study Identifier\t"S1"', 'Study Design Type\t"a"\t" b "', ""]
+        )
+        (study,) = parse_investigation(content, "f")
+        assert study.study_id == "S1"
+        assert [s.label for s in study.slots[AnnotationType.DESIGN]] == ["a", "b"]
+        assert parse_investigation(content, "f") == oracle_parse_investigation(content, "f")
+
+    def test_rows_before_the_first_study_header_belong_to_no_study(self):
+        content = (
+            'Study Design Type\t"before"\n'
+            'STUDY\t""\t \n'
+            'Study Identifier\t"S1"\n'
+            'STUDY\t"not a header"\n'
+            'Study Factor Type\t"f"\n'
+            "STUDY\n"
+            'Study Factor Type\t"g"\n'
+        )
+        first, second = parse_investigation(content, "f")
+        assert first.study_id == "S1" and first.slots[AnnotationType.DESIGN] == []
+        assert [s.label for s in first.slots[AnnotationType.FACTOR]] == ["f"]
+        assert second.study_id == "f_study2"
+        assert [s.label for s in second.slots[AnnotationType.FACTOR]] == ["g"]
+
+    def test_field_rows_only_before_the_first_study_header_are_malformed(self):
+        with pytest.raises(MalformedFileError):
+            parse_investigation('Study Design Type\t"x"\nSTUDY\nStudy Title\t"t"\n', "f")

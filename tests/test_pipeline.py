@@ -158,8 +158,8 @@ class TestProcessStudy:
             mtbls95_investigation(), encoding="utf-8"
         )
         (study,), _ = load_corpus(corpus)
-        result = process_study(study, resolver)
-        assert result.score.global_terms == pytest.approx(41.625, abs=1e-6)
+        score = process_study(study, resolver)
+        assert score.global_terms == pytest.approx(41.625, abs=1e-6)
 
     def test_annotation_details(self, resolver, tmp_path):
         corpus = tmp_path / "corpus"
@@ -168,7 +168,7 @@ class TestProcessStudy:
             mtbls95_investigation(), encoding="utf-8"
         )
         (study,), _ = load_corpus(corpus)
-        details = annotation_details(process_study(study, resolver).score, resolver)
+        details = annotation_details(process_study(study, resolver), resolver)
         design = details["Design"]
         assert len(design) == 6
         assert design[0]["score"] == 1.0
