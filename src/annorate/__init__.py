@@ -13,103 +13,81 @@ The pieces compose freely: parse with :func:`parse_investigation` or
 :class:`OntologyCatalog`, then score with :func:`score_entry` through an
 :class:`AccessionResolver`. The ``annorate`` command line drives the same
 code over whole corpus directories.
+
+Importing the package loads none of its submodules. Each name in
+``__all__`` is imported from the submodule that owns it on first access
+(PEP 562), as is each of those submodules by name (``annorate.ontology``),
+so a process pays only for what it uses: reading ``annorate.OntologyCatalog``
+loads ``annorate.ontology`` alone, and only ``fetch`` and ``--probe`` load
+the network code in ``annorate.ingest``.
 """
 
-from .accession import AccessionKind, AccessionRef, Resolution, classify_accession
-from .audit import (
-    Irregularity,
-    IrregularityKind,
-    audit_corpus,
-    audit_entry,
-)
-from .corpus import (
-    BoxplotStats,
-    CorpusStats,
-    Distribution,
-    EmptyCorpusError,
-    corpus_stats,
-    distribution,
-)
-from .ingest import (
-    CorpusManifest,
-    ManifestEntry,
-    NetworkError,
-    fetch_corpus,
-    list_studies,
-    probe_accession,
-)
-from .isatab import (
-    SCORED_TYPES,
-    AnnotationType,
-    MalformedFileError,
-    StudyMetadata,
-    TermSlot,
-    load_investigation,
-    parse_investigation,
-)
-from .ontology import (
-    CycleDetectedError,
-    DepthMetrics,
-    EmptyOntologyError,
-    OntologyCatalog,
-    OntologyGraph,
-    UnknownTermError,
-    load_obo,
-)
-from .pipeline import AccessionResolver, load_corpus, process_study
-from .scoring import (
-    DomainError,
-    EntryScore,
-    TypeScore,
-    log_transform,
-    score_entry,
-    type_tally,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessionKind",
-    "AccessionRef",
-    "AccessionResolver",
-    "AnnotationType",
-    "BoxplotStats",
-    "CorpusManifest",
-    "CorpusStats",
-    "CycleDetectedError",
-    "DepthMetrics",
-    "Distribution",
-    "DomainError",
-    "EmptyCorpusError",
-    "EmptyOntologyError",
-    "EntryScore",
-    "Irregularity",
-    "IrregularityKind",
-    "MalformedFileError",
-    "ManifestEntry",
-    "NetworkError",
-    "OntologyCatalog",
-    "OntologyGraph",
-    "Resolution",
-    "SCORED_TYPES",
-    "StudyMetadata",
-    "TermSlot",
-    "TypeScore",
-    "UnknownTermError",
-    "audit_corpus",
-    "audit_entry",
-    "classify_accession",
-    "corpus_stats",
-    "distribution",
-    "fetch_corpus",
-    "list_studies",
-    "load_corpus",
-    "load_investigation",
-    "load_obo",
-    "log_transform",
-    "parse_investigation",
-    "probe_accession",
-    "process_study",
-    "score_entry",
-    "type_tally",
-]
+#: Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "accession": ("AccessionKind", "AccessionRef", "Resolution", "classify_accession"),
+    "audit": ("Irregularity", "IrregularityKind", "audit_corpus", "audit_entry"),
+    "corpus": (
+        "BoxplotStats",
+        "CorpusStats",
+        "Distribution",
+        "EmptyCorpusError",
+        "corpus_stats",
+        "distribution",
+    ),
+    "ingest": (
+        "CorpusManifest",
+        "ManifestEntry",
+        "NetworkError",
+        "fetch_corpus",
+        "list_studies",
+        "probe_accession",
+    ),
+    "isatab": (
+        "SCORED_TYPES",
+        "AnnotationType",
+        "MalformedFileError",
+        "StudyMetadata",
+        "TermSlot",
+        "load_investigation",
+        "parse_investigation",
+    ),
+    "ontology": (
+        "CycleDetectedError",
+        "DepthMetrics",
+        "EmptyOntologyError",
+        "OntologyCatalog",
+        "OntologyGraph",
+        "UnknownTermError",
+        "load_obo",
+    ),
+    "pipeline": ("AccessionResolver", "load_corpus", "process_study"),
+    "scoring": (
+        "DomainError",
+        "EntryScore",
+        "TypeScore",
+        "log_transform",
+        "score_entry",
+        "type_tally",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -27,7 +27,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import ingest
 from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType
 from .ontology import OntologyCatalog
@@ -161,6 +160,8 @@ def run() -> None:
 
 
 def cmd_fetch(args) -> int:
+    from . import ingest
+
     base_url = args.base_url or os.environ.get(ENV_BASE_URL) or ingest.DEFAULT_BASE_URL
     if args.ids is not None:
         try:
@@ -308,8 +309,11 @@ def _make_resolver(catalog_path: Path | None, probe: bool) -> AccessionResolver 
     else:
         log.warning("no ontology catalog supplied; every term scores 0")
         catalog = OntologyCatalog()
-    prober = ingest.probe_accession if probe else None
-    return AccessionResolver(catalog, prober=prober)
+    if not probe:
+        return AccessionResolver(catalog)
+    from . import ingest
+
+    return AccessionResolver(catalog, prober=ingest.probe_accession)
 
 
 def _reason(exc: Exception) -> str:
@@ -451,10 +455,10 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
     Rows and records that share a study id are paired in file order: the
     k-th row of an id takes the per-type scores of the k-th record of that
     id. Raises ``ValueError`` when line 1 is not the ``SCORES_TSV_COLUMNS``
-    header, naming the row on a non-numeric or non-finite cell or a
-    ``histogram_column`` value outside [0, 100], and naming the record on a
-    malformed scores.json record (see :func:`_read_per_type`). Raises
-    ``OSError`` when a file cannot be read.
+    header, naming the row on a wrong number of cells, a non-numeric or
+    non-finite cell or a ``histogram_column`` value outside [0, 100], and
+    naming the record on a malformed scores.json record (see
+    :func:`_read_per_type`). Raises ``OSError`` when a file cannot be read.
     """
     lines = scores_path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "\t".join(SCORES_TSV_COLUMNS):
@@ -468,12 +472,11 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
         if not line.strip():
             continue
         cells = line.split("\t")
-        if len(cells) != len(SCORES_TSV_COLUMNS):
-            log.warning("skipping malformed score row: %r", line)
-            continue
         study_id = cells[0]
         per_type = per_type_by_study.get(study_id)
         try:
+            if len(cells) != len(SCORES_TSV_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, not {len(SCORES_TSV_COLUMNS)}")
             entry = EntryScore(
                 study_id=study_id,
                 per_type=per_type.pop(0) if per_type else {},

@@ -284,11 +284,12 @@ class OntologyCatalog:
     """Read-only map from ontology prefix to a loaded :class:`OntologyGraph`.
 
     Built from a TSV file of ``prefix<TAB>obo-path`` lines (relative paths
-    resolve against the catalog file's directory). Entries whose OBO file is
-    missing, not UTF-8 or otherwise unloadable are skipped with a warning:
-    an incomplete catalog degrades lookups to ``None``, it never crashes
-    scoring. The catalog file itself must be readable UTF-8 text; otherwise
-    ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
+    resolve against the catalog file's directory). A prefix listed again is
+    skipped with a warning, its file unread: the first line wins. Entries
+    whose OBO file is missing, not UTF-8 or otherwise unloadable are skipped
+    with a warning: an incomplete catalog degrades lookups to ``None``, it
+    never crashes scoring. The catalog file itself must be readable UTF-8
+    text; otherwise ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
     """
 
     def __init__(self, graphs: dict[str, OntologyGraph] | None = None):
@@ -298,6 +299,7 @@ class OntologyCatalog:
     def from_file(cls, catalog_path: str | Path) -> "OntologyCatalog":
         catalog_path = Path(catalog_path)
         graphs: dict[str, OntologyGraph] = {}
+        first_lines: dict[str, int] = {}
         for lineno, line in enumerate(
             catalog_path.read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -310,6 +312,13 @@ class OntologyCatalog:
             if not prefix or not obo_ref.strip():
                 log.warning("%s:%d: skipping malformed catalog line", catalog_path, lineno)
                 continue
+            if prefix in first_lines:
+                log.warning(
+                    "%s:%d: prefix %s already listed on line %d; skipping (kept first)",
+                    catalog_path, lineno, prefix, first_lines[prefix],
+                )
+                continue
+            first_lines[prefix] = lineno
             if not obo_path.is_absolute():
                 obo_path = catalog_path.parent / obo_path
             try:

@@ -1,6 +1,9 @@
 """Command-line pipeline: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -392,6 +395,22 @@ class TestStats:
         assert len(err.splitlines()) == 1
         assert "line 3" in err and "MTBLS2" in err
 
+    def test_row_with_wrong_cell_count_exits_with_row(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        row = "\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1" + row + "MTBLS2\t4\t75.0000000\t80.7354922\t75.0000000\n" + "MTBLS3" + row,
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(out)])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == (
+            f"bad score row in {scores}: line 3 (MTBLS2): 5 cells, not 6\n"
+        )
+        assert not out.exists()
+
     def test_log_base_check_out_of_range_exits_with_row(self, tmp_path, capsys):
         scores = tmp_path / "scores.tsv"
         scores.write_text(
@@ -748,9 +767,6 @@ class TestPipelineEquivalence:
 
 class TestConsoleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
-        import subprocess
-        import sys
-
         result = subprocess.run(
             [sys.executable, "-m", "annorate", "score", "--corpus",
              str(tmp_path), "--out", str(tmp_path / "o")],
@@ -765,49 +781,122 @@ class TestConsoleEntryPoint:
         assert "fetch" in result.stdout and "audit" in result.stdout
 
 
+#: The package's public names, by the submodule that defines each. Today's
+#: ``annorate.__all__`` is these names in sorted order.
+PUBLIC_API = {
+    "accession": ("AccessionKind", "AccessionRef", "Resolution", "classify_accession"),
+    "audit": ("Irregularity", "IrregularityKind", "audit_corpus", "audit_entry"),
+    "corpus": ("BoxplotStats", "CorpusStats", "Distribution", "EmptyCorpusError",
+               "corpus_stats", "distribution"),
+    "ingest": ("CorpusManifest", "ManifestEntry", "NetworkError", "fetch_corpus",
+               "list_studies", "probe_accession"),
+    "isatab": ("SCORED_TYPES", "AnnotationType", "MalformedFileError", "StudyMetadata",
+               "TermSlot", "load_investigation", "parse_investigation"),
+    "ontology": ("CycleDetectedError", "DepthMetrics", "EmptyOntologyError", "OntologyCatalog",
+                 "OntologyGraph", "UnknownTermError", "load_obo"),
+    "pipeline": ("AccessionResolver", "load_corpus", "process_study"),
+    "scoring": ("DomainError", "EntryScore", "TypeScore", "log_transform", "score_entry",
+                "type_tally"),
+}
+
+
+def run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports this annorate."""
+    import annorate
+
+    src = str(Path(annorate.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestStartup:
+    """Each process loads only the modules its work uses (each test starts a new one)."""
+
     def test_import_leaves_numpy_and_requests_unloaded(self):
         """score, stats and audit processes do not pay for unused imports."""
-        import os
-        import subprocess
-        import sys
-
-        import annorate
-
-        src = str(Path(annorate.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, annorate.cli; "
-             "print(sorted({'numpy', 'requests'} & set(sys.modules)))"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+        out = run_fresh(
+            "import sys, annorate.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert out.strip() == "[]"
 
     def test_stats_run_leaves_numpy_unloaded(self, tmp_path):
         """stats sums in pure Python: its process never imports numpy."""
-        import os
-        import subprocess
-        import sys
-
-        import annorate
-
-        src = str(Path(annorate.__file__).resolve().parents[1])
         data = Path(__file__).resolve().parents[1] / "demos" / "data"
         assert run_cli(["score", "--corpus", str(data / "corpus"),
                         "--catalog", str(data / "ontologies" / "catalog.tsv"),
                         "--out", str(tmp_path)]) == cli.EXIT_OK
         argv = ["stats", "--scores", str(tmp_path / "scores.tsv"),
                 "--out", str(tmp_path), "--log-base-check"]
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, annorate.cli; "
-             f"code = annorate.cli.main({argv!r}); "
-             "print(code, 'numpy' in sys.modules)"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
+        out = run_fresh(
+            "import sys, annorate.cli; "
+            f"code = annorate.cli.main({argv!r}); "
+            "print(code, 'numpy' in sys.modules)"
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 False"
+        assert out.splitlines()[-1] == "0 False"
         assert (tmp_path / "stats.tsv").is_file()
+
+    def test_score_stats_and_audit_leave_ingest_unloaded(self, tmp_path):
+        """Only fetch and --probe load the network code."""
+        data = Path(__file__).resolve().parents[1] / "demos" / "data"
+        corpus, catalog = str(data / "corpus"), str(data / "ontologies" / "catalog.tsv")
+        runs = [
+            ["score", "--corpus", corpus, "--catalog", catalog, "--out", str(tmp_path)],
+            ["stats", "--scores", str(tmp_path / "scores.tsv"), "--out", str(tmp_path)],
+            ["audit", "--corpus", corpus, "--catalog", catalog, "--out", str(tmp_path)],
+        ]
+        out = run_fresh(
+            "import sys, annorate.cli; "
+            f"codes = [annorate.cli.main(argv) for argv in {runs!r}]; "
+            "print(codes, 'annorate.ingest' in sys.modules)"
+        )
+        assert out.splitlines()[-1] == "[0, 0, 0] False"
+
+    def test_one_export_loads_only_its_submodule(self):
+        out = run_fresh(
+            "import sys, annorate; annorate.OntologyCatalog; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'annorate'))"
+        )
+        assert out.strip() == "['annorate', 'annorate.ontology']"
+
+    def test_star_import_binds_each_name_to_its_submodules_object(self):
+        out = run_fresh(
+            "import importlib\n"
+            "namespace = {}\n"
+            "exec('from annorate import *', namespace)\n"
+            f"wrong = [name for module, names in {PUBLIC_API!r}.items() for name in names\n"
+            "         if namespace[name] is not getattr(importlib.import_module('annorate.' + module), name)]\n"
+            "print(wrong)"
+        )
+        assert out.strip() == "[]"
+
+    def test_all_is_the_pinned_public_api(self):
+        out = run_fresh("import annorate; print(annorate.__all__)")
+        assert out.strip() == repr(sorted(name for names in PUBLIC_API.values() for name in names))
+
+    def test_dir_lists_every_export_before_any_is_loaded(self):
+        out = run_fresh("import annorate; print(sorted(set(annorate.__all__) - set(dir(annorate))))")
+        assert out.strip() == "[]"
+
+    def test_submodule_by_name_without_a_prior_import(self):
+        out = run_fresh(
+            "import sys, annorate; "
+            "print(annorate.ingest is sys.modules['annorate.ingest'], "
+            "annorate.ingest.fetch_corpus is annorate.fetch_corpus, "
+            "annorate.ontology.load_obo is annorate.load_obo)"
+        )
+        assert out.strip() == "True True True"
+
+    def test_unknown_name_raises_attribute_error(self):
+        out = run_fresh(
+            "import annorate\n"
+            "try:\n"
+            "    annorate.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.strip() == "module 'annorate' has no attribute 'no_such_name'"

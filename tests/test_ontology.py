@@ -296,6 +296,18 @@ class TestCatalog:
         catalog_file.write_text("# prefix\tpath\n\nT\tt.obo\n", encoding="utf-8")
         assert OntologyCatalog.from_file(catalog_file).prefixes == {"T"}
 
+    def test_repeated_prefix_keeps_the_first_line(self, tmp_path, caplog):
+        (tmp_path / "a.obo").write_text(CHAIN, encoding="utf-8")
+        (tmp_path / "b.obo").write_text(chain_obo(["T:7", "T:8"]), encoding="utf-8")
+        catalog_file = tmp_path / "catalog.tsv"
+        catalog_file.write_text("T\ta.obo\n# again\nT\tb.obo\n", encoding="utf-8")
+        with mock.patch.object(ontology, "load_obo", wraps=ontology.load_obo) as load:
+            catalog = OntologyCatalog.from_file(catalog_file)
+        assert load.call_count == 1
+        assert catalog.lookup("T", "T:3").score == 1.0
+        assert catalog.lookup("T", "T:7") is None
+        assert f"{catalog_file}:3: prefix T already listed on line 1" in caplog.text
+
     def test_non_utf8_obo_file_skipped_with_warning(self, tmp_path, caplog):
         ids = [f"GO:{i}" for i in range(1000)]
         catalog_path = write_catalog(tmp_path, {"GO": chain_obo(ids), "T": CHAIN})
