@@ -15,6 +15,7 @@ total function over strings and never performs I/O.
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from urllib.parse import urlparse
 
 
@@ -62,6 +63,7 @@ class AccessionRef:
         return f"{self.ontology_prefix}:{self.local_id}"
 
 
+@cache
 def classify_accession(raw: str) -> AccessionRef:
     """Classify an accession string into one of the four accession kinds.
 
@@ -69,6 +71,13 @@ def classify_accession(raw: str) -> AccessionRef:
     (mixed-case prefixes like NCBITaxon are preserved). HTTPS is accepted as
     equivalent to HTTP. Problems are encoded in the returned ``kind``; this
     never raises.
+
+    The function is memoized: each distinct string is classified once per
+    process and every later call returns the same frozen ``AccessionRef``.
+    A corpus repeats its URLs across slots and studies, so ``score`` and
+    ``audit`` pay one classification per distinct URL, not one per slot.
+    The memo grows with the distinct strings seen, which for a batch run is
+    bounded by its input.
     """
     m = _OBO_PURL_RE.match(raw)
     if m:

@@ -30,7 +30,7 @@ from . import corpus as corpus_mod
 from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType
 from .ontology import OntologyCatalog
-from .pipeline import AccessionResolver, annotation_details, load_corpus, process_study
+from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
 from .scoring import DomainError, EntryScore, TypeScore, log_transform
 
 log = logging.getLogger(__name__)
@@ -350,17 +350,45 @@ def _write_scores_tsv(path: Path, scores: list[EntryScore]) -> None:
             )
 
 
+#: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".
+_ANNOTATION_INDENT = "  " * 5
+#: An encoded annotation record up to its label's value.
+_LABEL_OPENING = "{\n" + _ANNOTATION_INDENT + '  "label": '
+
+
+class _Encoded(str):
+    """Report JSON text already laid out for its place, which ``_json_indented`` copies."""
+
+
 def _write_scores_json(path: Path, scored, resolver) -> None:
-    _write_json_list(path, (_score_record(study, score, resolver) for study, score in scored))
+    """Write the records of ``scored`` as ``json.dumps(records, indent=2)`` would.
+
+    An annotation record is its ``label`` followed by the fields that
+    :func:`annotation_fields` derives from its accession URL alone. Those
+    are encoded once per distinct URL, at the records' fixed nesting, and
+    the text is spliced in after each annotation's encoded label; the
+    annotation dicts of :func:`annotation_details` are never built.
+    """
+    url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the record's "{"
+
+    def encode_annotation(slot, ref) -> _Encoded:
+        fields = url_fields.get(ref.raw)
+        if fields is None:
+            encoded = _json_indented(annotation_fields(ref, resolver), _ANNOTATION_INDENT)
+            fields = url_fields[ref.raw] = encoded[1:]
+        return _Encoded(_LABEL_OPENING + encode_basestring_ascii(slot.label) + "," + fields)
+
+    _write_json_list(
+        path, (_score_record(study, score, encode_annotation) for study, score in scored)
+    )
 
 
-def _score_record(study, score: EntryScore, resolver) -> dict:
-    details = annotation_details(score, resolver)
+def _score_record(study, score: EntryScore, encode_annotation) -> dict:
     types = {}
     for annotation_type in SCORED_TYPES:
         ts = score.per_type[annotation_type]
         fields = {key: getattr(ts, key) for key, _ in _TYPE_SCORE_FIELDS}
-        fields["annotations"] = details[annotation_type.value]
+        fields["annotations"] = [encode_annotation(slot, ref) for slot, ref in ts.annotations]
         types[annotation_type.value] = fields
     return {
         "study_id": score.study_id,
@@ -394,11 +422,14 @@ def _json_indented(value, indent: str = "") -> str:
 
     The pure-Python encoder that ``json`` falls back to whenever ``indent`` is
     set is several times slower. Only the kinds the reports hold are taken:
-    str, int, finite float, None, and lists and str-keyed dicts of them.
+    str, int, finite float, None, and lists and str-keyed dicts of them, and
+    ``_Encoded`` text, which is copied as it is.
     """
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is _Encoded:
+        return value
     if kind is int:
         return int.__repr__(value)
     if kind is float:

@@ -231,7 +231,12 @@ def load_obo(source: str | TextIO, prefix: str) -> OntologyGraph:
     for piece in chain(_pieces(source), ("[",)):
         for line in piece.splitlines():
             line = line.strip()
-            if line.startswith("["):
+            if not line:
+                continue
+            # Only a header or an id/is_a/is_obsolete line changes the state;
+            # most stanza lines (name, def, synonym, xref) stop here.
+            first = line[0]
+            if first == "[":
                 if in_term and term_id and term_id.split(":", 1)[0] == prefix:
                     if obsolete:
                         obsolete_ids.add(term_id)
@@ -242,7 +247,7 @@ def load_obo(source: str | TextIO, prefix: str) -> OntologyGraph:
                 in_term = line == "[Term]"
                 term_id, parents, obsolete = None, [], False
                 continue
-            if not in_term or not line:
+            if first != "i" or not in_term:
                 continue
             tag, _, value = line.partition(":")
             if tag == "id":
@@ -290,6 +295,7 @@ class OntologyCatalog:
     with a warning: an incomplete catalog degrades lookups to ``None``, it
     never crashes scoring. The catalog file itself must be readable UTF-8
     text; otherwise ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
+    A byte order mark opening the catalog or an OBO file is dropped.
     """
 
     def __init__(self, graphs: dict[str, OntologyGraph] | None = None):
@@ -301,7 +307,7 @@ class OntologyCatalog:
         graphs: dict[str, OntologyGraph] = {}
         first_lines: dict[str, int] = {}
         for lineno, line in enumerate(
-            catalog_path.read_text(encoding="utf-8").splitlines(), start=1
+            catalog_path.read_text(encoding="utf-8-sig").splitlines(), start=1
         ):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -322,7 +328,7 @@ class OntologyCatalog:
             if not obo_path.is_absolute():
                 obo_path = catalog_path.parent / obo_path
             try:
-                with open(obo_path, encoding="utf-8") as obo:
+                with open(obo_path, encoding="utf-8-sig") as obo:
                     graphs[prefix] = load_obo(obo, prefix)
             except (OSError, UnicodeDecodeError, OntologyError) as exc:
                 log.warning("catalog prefix %s unavailable: %s", prefix, exc)

@@ -6,10 +6,14 @@ and score entries; the audit reads the same loaded studies. Network probing
 is an optional add-on that only refines *why* an accession could not be
 resolved (broken versus not in the catalog); it never changes scores.
 
-One :class:`AccessionResolver` serves a whole run and remembers, per
-accession URL, both the catalog's depth metrics and the resolution outcome.
-Scoring, the per-annotation report and the audit therefore share a single
-catalog lookup, and at most one probe, for each distinct URL.
+A run pays for each distinct accession URL once, however many slots repeat
+it: one classification (``classify_accession`` is memoized), one catalog
+lookup and at most one probe (one :class:`AccessionResolver` serves the
+whole run and remembers, per URL, both the depth metrics and the resolution
+outcome), and one encoding of the URL's report fields
+(:func:`annotation_fields`), which the ``scores.json`` writer splices after
+each annotation's label. Scoring, the per-annotation report and the audit
+share all of these.
 """
 
 import logging
@@ -110,29 +114,36 @@ def process_study(metadata: StudyMetadata, resolver: AccessionResolver) -> Entry
     return score_entry(metadata, resolver.score)
 
 
+def annotation_fields(ref: AccessionRef, resolver: AccessionResolver) -> dict:
+    """The fields of an annotation record that depend on its accession URL alone.
+
+    Everything but ``label``, in report order: the URL, its term id, the
+    term's depth metrics (null when the term is not in the catalog, with
+    score 0.0) and the resolution outcome.
+    """
+    metrics = resolver.metrics(ref)
+    return {
+        "accession": ref.raw,
+        "term": ref.curie,
+        "depth": metrics.depth if metrics else None,
+        "branch_length": metrics.branch_length if metrics else None,
+        "score": metrics.score if metrics else 0.0,
+        "resolution": resolver.resolution(ref).value,
+    }
+
+
 def annotation_details(
     score: EntryScore, resolver: AccessionResolver
 ) -> dict[str, list[dict]]:
-    """Per-annotation depth metrics for report serialization.
+    """Per-annotation records of ``score``, as ``scores.json`` holds them.
 
-    One record per annotation that ``score``'s tallies kept, in slot order,
-    with null metrics when the term is not in the catalog.
+    One record per annotation that ``score``'s tallies kept, in slot order:
+    its ``label``, then its :func:`annotation_fields`.
     """
-    details: dict[str, list[dict]] = {}
-    for annotation_type in SCORED_TYPES:
-        records = []
-        for slot, ref in score.per_type[annotation_type].annotations:
-            metrics = resolver.metrics(ref)
-            records.append(
-                {
-                    "label": slot.label,
-                    "accession": slot.accession,
-                    "term": ref.curie,
-                    "depth": metrics.depth if metrics else None,
-                    "branch_length": metrics.branch_length if metrics else None,
-                    "score": metrics.score if metrics else 0.0,
-                    "resolution": resolver.resolution(ref).value,
-                }
-            )
-        details[annotation_type.value] = records
-    return details
+    return {
+        annotation_type.value: [
+            {"label": slot.label, **annotation_fields(ref, resolver)}
+            for slot, ref in score.per_type[annotation_type].annotations
+        ]
+        for annotation_type in SCORED_TYPES
+    }

@@ -6,17 +6,19 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annorate import accession, audit, cli, pipeline, scoring
-from annorate.accession import classify_accession
-from annorate.pipeline import load_corpus
+from annorate.accession import Resolution, classify_accession
+from annorate.ontology import DepthMetrics
+from annorate.pipeline import AccessionResolver, annotation_details, load_corpus, process_study
 
 from conftest import investigation_text, mtbls95_investigation
-from annorate.isatab import SCORED_TYPES, AnnotationType
+from annorate.isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
 
 MTBLS95_ROW = "MTBLS95\t8\t41.6250000\t50.2075956\t44.9166667\t53.5223527"
 
@@ -693,6 +695,27 @@ JSON_SCALAR = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(),
 )
+#: Scorable URLs, few enough that drawn studies repeat them under different
+#: labels; two share a term id and two more an ontology.
+URL_POOL = (
+    "http://purl.obolibrary.org/obo/GO_0000001",
+    "https://purl.obolibrary.org/obo/GO_0000001",
+    "http://purl.obolibrary.org/obo/GO_0000002",
+    "https://purl.obolibrary.org/obo/CHMO_0000591",
+    "http://purl.bioontology.org/ontology/MSH/C081695",
+    "http://purl.obolibrary.org/obo/NCBITaxon_9606",
+)
+#: A URL's catalog entry: none (depth and branch length null, score 0.0), or
+#: depth metrics whose score the report must print exactly.
+URL_METRICS = st.one_of(
+    st.none(),
+    st.builds(
+        DepthMetrics,
+        depth=st.integers(0, 40),
+        branch_length=st.integers(0, 40),
+        score=st.one_of(st.sampled_from([0.0, 1e-07, 0.1, 1 / 3, 1.0]), st.floats(0, 1)),
+    ),
+)
 JSON_VALUE = st.recursive(
     JSON_SCALAR,
     lambda children: st.lists(children, max_size=4)
@@ -736,6 +759,41 @@ class TestJsonWriter:
             records = json.loads(written)
             assert records, name
             assert written == (json.dumps(records, indent=2) + "\n").encode(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(SCORED_TYPES),
+                st.lists(st.tuples(JSON_TEXT, st.sampled_from(URL_POOL)), max_size=5),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.fixed_dictionaries({url: URL_METRICS for url in URL_POOL}),
+        st.sets(st.sampled_from(URL_POOL)),
+    )
+    def test_scores_json_splices_the_annotation_details(self, studies, metrics, broken):
+        by_term = {classify_accession(url).curie: m for url, m in metrics.items() if m}
+        resolver = AccessionResolver(
+            SimpleNamespace(lookup=lambda prefix, term_id: by_term.get(term_id)),
+            prober=lambda ref: Resolution.BROKEN if ref.raw in broken else Resolution.RESOLVED,
+        )
+        scored = []
+        for number, sections in enumerate(studies):
+            slots = {t: [TermSlot(label, url) for label, url in cells]
+                     for t, cells in sections.items()}
+            study = StudyMetadata(f"S{number}", slots, source_path=f"S{number}/i_Investigation.txt")
+            scored.append((study, process_study(study, resolver)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.json"
+            cli._write_scores_json(path, scored, resolver)
+            written = path.read_bytes()
+        records = json.loads(written)
+        for record, (_, score) in zip(records, scored, strict=True):
+            for type_name, annotations in annotation_details(score, resolver).items():
+                record["types"][type_name]["annotations"] = annotations
+        assert written == (json.dumps(records, indent=2) + "\n").encode()
 
 
 class TestPipelineEquivalence:

@@ -1,5 +1,6 @@
 """Ontology loading and depth/branch/specificity metrics."""
 
+import codecs
 import io
 import itertools
 import random
@@ -295,6 +296,23 @@ class TestCatalog:
         catalog_file = tmp_path / "catalog.tsv"
         catalog_file.write_text("# prefix\tpath\n\nT\tt.obo\n", encoding="utf-8")
         assert OntologyCatalog.from_file(catalog_file).prefixes == {"T"}
+
+    def test_byte_order_mark_opening_the_catalog_is_not_part_of_a_prefix(self, tmp_path):
+        (tmp_path / "go.obo").write_text(chain_obo(["GO:1", "GO:2"]), encoding="utf-8")
+        catalog_file = tmp_path / "catalog.tsv"
+        catalog_file.write_bytes(codecs.BOM_UTF8 + b"GO\tgo.obo\n")
+        catalog = OntologyCatalog.from_file(catalog_file)
+        assert catalog.prefixes == {"GO"}
+        assert catalog.lookup("GO", "GO:2").score == 1.0
+
+    def test_byte_order_mark_opening_an_obo_file_keeps_the_first_stanza(self, tmp_path):
+        obo = "[Term]\nid: GO:1\n\n[Term]\nid: GO:2\nis_a: GO:1 ! parent\n"
+        (tmp_path / "go.obo").write_bytes(codecs.BOM_UTF8 + obo.encode("utf-8"))
+        catalog_file = tmp_path / "catalog.tsv"
+        catalog_file.write_text("GO\tgo.obo\n", encoding="utf-8")
+        graph = OntologyCatalog.from_file(catalog_file).get("GO")
+        assert graph.terms == {"GO:1", "GO:2"}
+        assert (graph.depth("GO:1"), graph.depth("GO:2")) == (0, 1)
 
     def test_repeated_prefix_keeps_the_first_line(self, tmp_path, caplog):
         (tmp_path / "a.obo").write_text(CHAIN, encoding="utf-8")
