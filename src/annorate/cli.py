@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
+from .audit import DEFAULT_NEAR_DUP_THRESHOLD, IrregularityKind, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
@@ -286,10 +286,7 @@ def cmd_audit(args) -> int:
     findings.extend(audit_corpus(studies, near_dup_threshold=args.near_dup_threshold))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_json_list(
-        args.out / "audit.json",
-        ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence} for f in findings),
-    )
+    _write_audit_json(args.out / "audit.json", findings)
     for failure in failures:
         print(f"skipped: {failure}", file=sys.stderr)
     print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
@@ -401,6 +398,30 @@ def _score_record(study, score: EntryScore, encode_annotation) -> dict:
         "warnings": study.warnings,
         "types": types,
     }
+
+
+def _write_audit_json(path: Path, findings) -> None:
+    """Write ``findings`` as ``{study_id, kind, evidence}`` records, as ``json.dumps`` would.
+
+    Each record's three fields are encoded straight into its text at the
+    record's fixed nesting, so no record dict is built.
+    """
+    kinds = {kind: encode_basestring_ascii(kind.value) for kind in IrregularityKind}
+    _write_json_list(
+        path,
+        (
+            _Encoded(
+                '{\n    "study_id": '
+                + encode_basestring_ascii(f.study_id)
+                + ',\n    "kind": '
+                + kinds[f.kind]
+                + ',\n    "evidence": '
+                + encode_basestring_ascii(f.evidence)
+                + "\n  }"
+            )
+            for f in findings
+        ),
+    )
 
 
 def _write_json_list(path: Path, records) -> None:
@@ -534,9 +555,14 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
 
     Raises ``ValueError`` naming the record (its study id, or its position
     when it has none) and the key when the record is not an object, lacks a
-    key, names an unknown type, or holds a value of the wrong JSON kind.
+    key, names an unknown type, or holds a value of the wrong JSON kind;
+    naming the file when it is nested too deeply to decode; and as ``json``
+    does when it is not JSON.
     """
-    records = json.loads(json_path.read_text(encoding="utf-8"))
+    try:
+        records = json.loads(json_path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{json_path.name}: nested too deeply to read") from None
     if not isinstance(records, list):
         raise ValueError(f"{json_path.name}: not a list of records")
     per_type_by_study: dict[str, list[dict[AnnotationType, TypeScore]]] = {}

@@ -1,6 +1,9 @@
 """Irregularity detection: per-entry findings and corpus near-duplicates."""
 
+import math
+
 import pytest
+from audit_oracle import oracle_audit_entry
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +89,69 @@ def oracle_corpora(draw):
     return entries
 
 
+#: Accessions of every kind: OBO and BioPortal PURLs (scorable), non-PURL
+#: links and malformed strings.
+SCORABLE_ACCESSIONS = [
+    LIPID_ACC,
+    NMR_ACC,
+    "https://purl.obolibrary.org/obo/NCBITaxon_9606",
+    "http://purl.bioontology.org/ontology/MSH/C081695",
+]
+ENTRY_ACCESSIONS = SCORABLE_ACCESSIONS + [
+    "",
+    "http://example.org/term",
+    "http://purl.obolibrary.org/obo/GO_0005811/extra",
+    "not a url",
+    "GO:0005811",
+]
+#: Label variants that normalize alike, plus empty and whitespace-only labels.
+ENTRY_LABELS = ["alpha", "Alpha", " ALPHA ", "beta  gamma", "Beta\tGamma", "delta", "", " "]
+
+
+@st.composite
+def audited_studies(draw):
+    """A study of 0-30 slots from a small vocabulary, so that pairs repeat and
+    labels recur under several types; and a resolver over its scorable
+    accessions, or None."""
+    metadata = make_metadata(draw(st.sampled_from(["S", "MTBLS1"])))
+    for _ in range(draw(st.integers(0, 30))):
+        annotation_type = draw(st.sampled_from(list(AnnotationType)))
+        label = draw(st.sampled_from(ENTRY_LABELS))
+        accession = draw(st.sampled_from(ENTRY_ACCESSIONS))
+        metadata.slots[annotation_type].append(TermSlot(label, accession))
+    if draw(st.booleans()):
+        return metadata, None
+    outcomes = draw(
+        st.fixed_dictionaries(
+            {acc: st.sampled_from(list(Resolution)) for acc in SCORABLE_ACCESSIONS}
+        )
+    )
+    return metadata, lambda ref: outcomes[ref.raw]
+
+
 class TestAuditEntry:
+    @settings(max_examples=300, deadline=None)
+    @given(audited_studies())
+    def test_findings_equal_the_oracle(self, study):
+        metadata, resolution = study
+        assert audit_entry(metadata, resolution) == oracle_audit_entry(metadata, resolution)
+
+    def test_resolution_asked_once_per_distinct_accession(self):
+        metadata = make_metadata(
+            "R",
+            design=[TermSlot("a", LIPID_ACC), TermSlot("b", LIPID_ACC)],
+            assay=[TermSlot("c", LIPID_ACC), TermSlot("d", NMR_ACC)],
+        )
+        asked = []
+
+        def resolution(ref):
+            asked.append(ref.raw)
+            return Resolution.BROKEN
+
+        findings = audit_entry(metadata, resolution)
+        assert sorted(asked) == sorted([LIPID_ACC, NMR_ACC])
+        assert kinds(findings) == [IrregularityKind.BROKEN_ACCESSION] * 4
+
     def test_repeated_and_cross_type(self):
         # "lipid droplets" twice under factor with the same accession, and
         # once under design without one
@@ -272,6 +337,46 @@ class TestAuditCorpus:
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         with pytest.raises(ValueError):
             audit_corpus(self.make_quintet(), near_dup_threshold=threshold)
+
+    @pytest.mark.parametrize("size", [10, 20, 40])
+    @pytest.mark.parametrize("threshold", [0.1, 0.25, 0.5])
+    def test_size_gap_on_the_length_bound(self, threshold, size):
+        # The smaller entry is a subset of the larger, so the size gap alone
+        # decides: the largest gap within threshold * size is flagged (it
+        # equals threshold * size wherever that is a whole number), one more
+        # slot is not. Both orders, so the larger entry is indexed first once.
+        gap = math.floor(threshold * size)
+        slots = [TermSlot(f"p{i}") for i in range(size)]
+        big = make_metadata("B", protocol=slots)
+        for missing, flagged in ((gap, True), (gap + 1, False)):
+            small = make_metadata("A", protocol=slots[missing:])
+            for entries in ([big, small], [small, big]):
+                findings = audit_corpus(entries, near_dup_threshold=threshold)
+                assert findings == _near_dup_oracle(entries, threshold)
+                expected = [f"matches B ({missing} of {size} slots differ)"] if flagged else []
+                assert [f.evidence for f in findings] == expected
+
+    def test_descending_sizes_keep_the_input_order(self):
+        # Entries are given largest first, so the join, which indexes them
+        # smallest first, meets every pair in the reverse of the findings'
+        # order; the ids run backwards, so each finding sits on the later entry.
+        slots = [TermSlot(f"p{i}") for i in range(12)]
+        entries = [
+            make_metadata("D", protocol=slots),
+            make_metadata("C", protocol=slots[1:]),
+            make_metadata("B", protocol=slots[2:]),
+            make_metadata("A", protocol=slots[2:]),
+        ]
+        findings = audit_corpus(entries, near_dup_threshold=0.2)
+        assert findings == _near_dup_oracle(entries, 0.2)
+        assert [(f.study_id, f.evidence) for f in findings] == [
+            ("C", "matches D (1 of 12 slots differ)"),
+            ("B", "matches D (2 of 12 slots differ)"),
+            ("A", "matches D (2 of 12 slots differ)"),
+            ("B", "matches C (1 of 11 slots differ)"),
+            ("A", "matches C (1 of 11 slots differ)"),
+            ("A", "matches B (0 of 10 slots differ)"),
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -522,6 +522,26 @@ class TestStats:
         assert len(err.splitlines()) == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000],
+        ids=["open-lists", "closed-lists", "open-objects"],
+    )
+    def test_deeply_nested_scores_json_exits_with_one_line(self, tmp_path, capsys, text):
+        (tmp_path / "scores.tsv").write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "scores.json").write_text(text, encoding="utf-8")
+        code = run_cli(["stats", "--scores", str(tmp_path / "scores.tsv"),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            f"bad score row in {tmp_path / 'scores.tsv'}: scores.json: nested too deeply to read"
+        )
+
     def test_studies_sharing_an_id_keep_their_own_type_scores(
         self, mtbls95_corpus, mtbls95_catalog, tmp_path
     ):
