@@ -23,6 +23,7 @@ import math
 import os
 import reprlib
 import sys
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -233,40 +234,38 @@ def cmd_stats(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     columns = ("log_terms", "log_annotations")
-    stats = {c: corpus_mod.corpus_stats(entries, c) for c in columns}
-    with _tsv_writer(args.out / "stats.tsv") as out:
-        out.write("statistic\t" + "\t".join(columns) + "\n")
-        rows = (
-            ("mean", lambda s: s.mean),
-            ("std_dev", lambda s: s.std_dev),
-            ("max", lambda s: s.max),
-            ("min_annotated", lambda s: s.min_annotated),
-            ("pct_above_mean", lambda s: s.pct_above_mean),
-        )
-        for name, get in rows:
-            cells = [_fmt(get(stats[c])) for c in columns]
-            out.write(name + "\t" + "\t".join(cells) + "\n")
+    stats = [corpus_mod.corpus_stats(entries, c) for c in columns]
+    _write_tsv(
+        args.out / "stats.tsv",
+        ("statistic", *columns),
+        (
+            (name, *(_fmt(getattr(s, name)) for s in stats))
+            for name in ("mean", "std_dev", "max", "min_annotated", "pct_above_mean")
+        ),
+    )
 
     dist = corpus_mod.distribution(entries, args.score_column)
-    with _tsv_writer(args.out / "hist.tsv") as out:
-        out.write("bin_low\tcount\n")
-        for lo, count in dist.histogram:
-            out.write(f"{lo}\t{count}\n")
-    with _tsv_writer(args.out / "boxplot.tsv") as out:
-        out.write("type\tmin\tq1\tmedian\tq3\tmax\n")
-        for annotation_type in SCORED_TYPES:
-            box = dist.per_type_boxplot.get(annotation_type)
-            if box is None:
-                continue
-            cells = (box.minimum, box.q1, box.median, box.q3, box.maximum)
-            out.write(annotation_type.value + "\t" + "\t".join(_fmt(c) for c in cells) + "\n")
-    with _tsv_writer(args.out / "gaps.tsv") as out:
-        out.write("type\tavg_gap_pct\n")
-        for annotation_type in SCORED_TYPES:
-            gap = dist.avg_weighting_gap.get(annotation_type)
-            if gap is None:
-                continue
-            out.write(f"{annotation_type.value}\t{_fmt(gap)}\n")
+    _write_tsv(
+        args.out / "hist.tsv",
+        ("bin_low", "count"),
+        ((str(lo), str(count)) for lo, count in dist.histogram),
+    )
+    boxes = dist.per_type_boxplot
+    _write_tsv(
+        args.out / "boxplot.tsv",
+        ("type", "min", "q1", "median", "q3", "max"),
+        (
+            (t.value, *map(_fmt, (b.minimum, b.q1, b.median, b.q3, b.maximum)))
+            for t in SCORED_TYPES
+            if (b := boxes.get(t)) is not None
+        ),
+    )
+    gaps = dist.avg_weighting_gap
+    _write_tsv(
+        args.out / "gaps.tsv",
+        ("type", "avg_gap_pct"),
+        ((t.value, _fmt(gaps[t])) for t in SCORED_TYPES if gaps.get(t) is not None),
+    )
 
     print(f"wrote stats for {len(entries)} entries into {args.out}")
     return EXIT_OK
@@ -324,27 +323,29 @@ def _fmt(value) -> str:
     return f"{value:.7f}"
 
 
-def _tsv_writer(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write ``header`` and then each row as tab-joined UTF-8 lines ending in ``\\n``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("\t".join(header) + "\n")
+        out.writelines("\t".join(row) + "\n" for row in rows)
 
 
 def _write_scores_tsv(path: Path, scores: list[EntryScore]) -> None:
-    with _tsv_writer(path) as out:
-        out.write("\t".join(SCORES_TSV_COLUMNS) + "\n")
-        for s in scores:
-            out.write(
-                "\t".join(
-                    (
-                        s.study_id,
-                        str(s.total_annotations),
-                        _fmt(s.global_terms),
-                        _fmt(s.log_terms),
-                        _fmt(s.global_annotations),
-                        _fmt(s.log_annotations),
-                    )
-                )
-                + "\n"
+    _write_tsv(
+        path,
+        SCORES_TSV_COLUMNS,
+        (
+            (
+                s.study_id,
+                str(s.total_annotations),
+                _fmt(s.global_terms),
+                _fmt(s.log_terms),
+                _fmt(s.global_annotations),
+                _fmt(s.log_annotations),
             )
+            for s in scores
+        ),
+    )
 
 
 #: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".

@@ -5,11 +5,14 @@ file instead of the repository listing, downloads land in a plain directory
 that the scoring pipeline reads directly, and probing is optional (with
 probing off, resolution outcomes derive solely from the ontology catalog).
 
-Downloads run through a bounded worker pool with per-request timeouts and
-exponential-backoff retries of network errors, HTTP 5xx and HTTP 429 (other
-4xx statuses are permanent); one failing study never aborts the batch. The
-manifest is an append-only TSV (``study_id path url fetched_at sha256
-status``) written next to the downloaded files.
+Every request, whether a listing, a download or a probe, goes through one
+helper with one policy: network errors, HTTP 5xx and HTTP 429 are retried
+up to ``RETRIES`` times, after ``BACKOFF_S`` seconds and then twice as long
+before each later retry; any other 4xx fails at once. Downloads wait up to
+``FETCH_TIMEOUT_S`` seconds for each response, probes ``PROBE_TIMEOUT_S``.
+Downloads run through a bounded worker pool, and one failing study never
+aborts the batch. The manifest is an append-only TSV (``study_id path url
+fetched_at sha256 status``) written next to the downloaded files.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ import re
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -36,10 +39,17 @@ STUDY_ID_PATTERN = r"MTBLS\d+"
 INVESTIGATION_FILENAME = "i_Investigation.txt"
 
 #: Body fragments that mark a nominally successful response as a broken term page.
-DEFAULT_BROKEN_SIGNATURES = (
+BROKEN_SIGNATURES = (
     "<error>Ontology not specified or not supported</error>",
     "The page you are looking for wasn't found.",
 )
+
+#: Retries of a request after its first attempt fails transiently.
+RETRIES = 2
+#: Seconds before the first retry; each later retry waits twice as long.
+BACKOFF_S = 0.5
+FETCH_TIMEOUT_S = 30.0
+PROBE_TIMEOUT_S = 10.0
 
 MANIFEST_FILENAME = "manifest.tsv"
 MANIFEST_COLUMNS = ("study_id", "path", "url", "fetched_at", "sha256", "status")
@@ -50,11 +60,7 @@ STATUS_FAILED = "fetch_failed"
 
 
 class NetworkError(Exception):
-    """A request failed after exhausting its retries."""
-
-
-class ListingParseError(Exception):
-    """The study listing response could not be interpreted."""
+    """A request failed at once or after exhausting its retries."""
 
 
 @dataclass(frozen=True)
@@ -87,33 +93,8 @@ class CorpusManifest:
             if is_new:
                 f.write("\t".join(MANIFEST_COLUMNS) + "\n")
             for entry in self.entries:
-                f.write(
-                    "\t".join(
-                        (
-                            entry.study_id,
-                            entry.path,
-                            entry.url,
-                            entry.fetched_at,
-                            entry.sha256,
-                            entry.status,
-                        )
-                    )
-                    + "\n"
-                )
+                f.write("\t".join(astuple(entry)) + "\n")
         return path
-
-    @classmethod
-    def read(cls, path: str | Path) -> "CorpusManifest":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        entries = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(MANIFEST_COLUMNS):
-                raise ListingParseError(f"bad manifest row: {line!r}")
-            entries.append(ManifestEntry(*cells))
-        return cls(entries)
 
     def verify(self, dest_dir: str | Path) -> list[ManifestEntry]:
         """Return the fetched entries whose file is missing or hash-stale."""
@@ -129,27 +110,22 @@ class CorpusManifest:
 
 
 def list_studies(
-    base_url: str | None = None,
-    ids_file: str | Path | None = None,
-    pattern: str = STUDY_ID_PATTERN,
-    timeout: float = 30.0,
-    retries: int = 2,
-    backoff: float = 0.5,
+    base_url: str | None = None, ids_file: str | Path | None = None
 ) -> list[str]:
     """Enumerate public study identifiers, sorted and de-duplicated.
 
     Either ``ids_file`` (one identifier per line, or any text the pattern
     can be scanned from) or ``base_url`` (a listing endpoint whose response
-    is scanned the same way) must be given. Identifiers are validated
-    against ``pattern``; anything else in the source is ignored.
+    is scanned the same way) must be given. Identifiers are the matches of
+    ``STUDY_ID_PATTERN``; anything else in the source is ignored.
     """
     if ids_file is not None:
         text = Path(ids_file).read_text(encoding="utf-8")
     elif base_url is not None:
-        text = _get_with_retries(base_url, timeout, retries, backoff).text
+        text = _get_with_retries(base_url, FETCH_TIMEOUT_S).text
     else:
         raise ValueError("either base_url or ids_file is required")
-    ids = sorted(set(re.findall(pattern, text)))
+    ids = sorted(set(re.findall(STUDY_ID_PATTERN, text)))
     if not ids:
         log.warning("study listing is empty")
     return ids
@@ -160,9 +136,6 @@ def fetch_corpus(
     dest_dir: str | Path,
     base_url: str = DEFAULT_BASE_URL,
     concurrency: int = 4,
-    timeout: float = 30.0,
-    retries: int = 2,
-    backoff: float = 0.5,
     cache: bool = True,
 ) -> CorpusManifest:
     """Download each study's investigation file and record a manifest.
@@ -170,9 +143,12 @@ def fetch_corpus(
     Files land in ``dest_dir/<study_id>/i_Investigation.txt``, written whole
     or not at all. With ``cache`` on, an existing file is kept (status
     ``cached``) and not re-downloaded.
-    Per-study failures are recorded with status ``fetch_failed`` and never
-    abort the batch; only an unwritable ``dest_dir`` raises. Rows keep the
-    input id order regardless of download completion order.
+    Per-study failures are recorded with status ``fetch_failed`` and a
+    warning, and never abort the batch: a failed request, a cached path that
+    cannot be read (a directory, say), or a study directory that cannot be
+    made (a file is in its place). Only an unwritable ``dest_dir`` or a
+    failed write of downloaded bytes raises. Rows keep the input id order
+    regardless of download completion order.
     """
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
@@ -181,30 +157,19 @@ def fetch_corpus(
         url = f"{base_url.rstrip('/')}/{study_id}/{INVESTIGATION_FILENAME}"
         target = dest / study_id / INVESTIGATION_FILENAME
         stamp = _utc_now()
-        if cache and target.exists():
-            return ManifestEntry(
-                study_id,
-                str(target.relative_to(dest)),
-                url,
-                stamp,
-                _sha256(target.read_bytes()),
-                STATUS_CACHED,
-            )
         try:
-            response = _get_with_retries(url, timeout, retries, backoff)
-        except NetworkError as exc:
+            if cache and target.exists():
+                data, status = target.read_bytes(), STATUS_CACHED
+            else:
+                data, status = _get_with_retries(url, FETCH_TIMEOUT_S).content, STATUS_OK
+                target.parent.mkdir(parents=True, exist_ok=True)
+        except (NetworkError, OSError) as exc:
             log.warning("fetch failed for %s: %s", study_id, exc)
             return ManifestEntry(study_id, "", url, stamp, "", STATUS_FAILED)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(target, response.content)
-        return ManifestEntry(
-            study_id,
-            str(target.relative_to(dest)),
-            url,
-            stamp,
-            _sha256(response.content),
-            STATUS_OK,
-        )
+        if status == STATUS_OK:
+            _write_atomic(target, data)
+        path = str(target.relative_to(dest))
+        return ManifestEntry(study_id, path, url, stamp, _sha256(data), status)
 
     workers = max(1, concurrency)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -214,61 +179,47 @@ def fetch_corpus(
     return manifest
 
 
-def probe_accession(
-    ref: AccessionRef,
-    signatures: tuple[str, ...] = DEFAULT_BROKEN_SIGNATURES,
-    timeout: float = 10.0,
-) -> Resolution:
+def probe_accession(ref: AccessionRef) -> Resolution:
     """Probe a scorable accession URL for liveness.
 
-    Resolved on a final 2xx/3xx status whose body carries none of the broken
-    signatures; Broken on 4xx/5xx, a signature match, or a network error
-    (transient errors are retried once, then treated as Broken).
+    Resolved on a final 2xx/3xx status whose body carries none of
+    ``BROKEN_SIGNATURES``; Broken on a signature match or when the request
+    fails under the module's one retry policy (a 4xx other than 429 at once;
+    a network error, 5xx or 429 that persists through every retry).
     """
-    import requests
-
     if not ref.is_scorable:
         raise ValueError(f"cannot probe accession of kind {ref.kind.value}")
-    response = None
-    for attempt in range(2):
-        try:
-            response = requests.get(ref.raw, timeout=timeout)
-            break
-        except requests.RequestException as exc:
-            kind = "transient" if attempt == 0 else "definitive after retry"
-            log.warning("probe of %s failed (%s): %s", ref.raw, kind, exc)
-    if response is None:
+    try:
+        body = _get_with_retries(ref.raw, PROBE_TIMEOUT_S).text
+    except NetworkError as exc:
+        log.warning("probe of %s failed: %s", ref.raw, exc)
         return Resolution.BROKEN
-    if response.status_code >= 400:
-        return Resolution.BROKEN
-    body = response.text
-    if any(signature in body for signature in signatures):
+    if any(signature in body for signature in BROKEN_SIGNATURES):
         return Resolution.BROKEN
     return Resolution.RESOLVED
 
 
-def _get_with_retries(
-    url: str, timeout: float, retries: int, backoff: float
-) -> "requests.Response":
-    # requests is imported by the two functions that use it, not by the
-    # module: its import is a large share of a short process's start-up,
-    # and score, stats and audit never use it.
+def _get_with_retries(url: str, timeout: float) -> "requests.Response":
+    # requests is imported here, not by the module: its import is a large
+    # share of a short process's start-up, and score, stats and audit never
+    # use it.
     import requests
 
     last_error: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(RETRIES + 1):
+        if attempt:
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
             response = requests.get(url, timeout=timeout)
-            if response.status_code >= 500 or response.status_code == 429:
-                last_error = NetworkError(f"HTTP {response.status_code} for {url}")
-            elif response.status_code >= 400:
-                raise NetworkError(f"HTTP {response.status_code} for {url}")
-            else:
-                return response
         except requests.RequestException as exc:
             last_error = exc
-        if attempt < retries and backoff > 0:
-            time.sleep(backoff * (2**attempt))
+            continue
+        status = response.status_code
+        if status < 400:
+            return response
+        last_error = NetworkError(f"HTTP {status} for {url}")
+        if status < 500 and status != 429:
+            raise last_error
     raise NetworkError(f"request to {url} failed: {last_error}")
 
 

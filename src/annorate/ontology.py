@@ -32,9 +32,7 @@ heights.
 
 A generated 250k-term taxonomy (21 MB of OBO) loads in ~2.5 s with a
 process peak of 107 MiB, and a 1M-term one (87 MB) in ~10.6 s with
-371 MiB. Reading the whole file at once and keeping a tuple and a list per
-term took ~3.4 s and 203 MiB, and ~15.5 s and 731 MiB (2 vCPU, Python
-3.11).
+371 MiB (2 vCPU, Python 3.11).
 """
 
 from array import array

@@ -163,6 +163,29 @@ class TestFetch:
         assert server.request_log == ["/"]  # a 404 is not retried
         assert not (tmp_path / "c").exists()
 
+    def test_blocked_study_paths_fail_alone(self, stub_server, tmp_path, monkeypatch, caplog):
+        body = 'Study Identifier\t"{sid}"\nStudy Design Type\t"x"\n'
+        server = stub_server(
+            {f"/{sid}/i_Investigation.txt": (200, body.format(sid=sid))
+             for sid in ("MTBLS1", "MTBLS2", "MTBLS3")}
+        )
+        out = tmp_path / "corpus"
+        # a directory where MTBLS1's cached file would be, a file where MTBLS2's directory goes
+        (out / "MTBLS1" / "i_Investigation.txt").mkdir(parents=True)
+        (out / "MTBLS2").write_text("in the way\n", encoding="utf-8")
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("MTBLS1\nMTBLS2\nMTBLS3\n", encoding="utf-8")
+        monkeypatch.setenv(cli.ENV_BASE_URL, server.base_url)
+        assert run_cli(["fetch", "--ids", str(ids_file), "--out", str(out)]) == cli.EXIT_OK
+        rows = [line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            ("MTBLS1", "fetch_failed"), ("MTBLS2", "fetch_failed"), ("MTBLS3", "ok"),
+        ]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2
+        for blocked in (out / "MTBLS1" / "i_Investigation.txt", out / "MTBLS2"):
+            assert sum(str(blocked) in warning for warning in warnings) == 1
+
 
 class TestScore:
     def test_reference_row(self, mtbls95_corpus, mtbls95_catalog, tmp_path):

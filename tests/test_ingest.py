@@ -1,13 +1,15 @@
 """Corpus acquisition against a local stub HTTP server."""
 
+import re
 import time
 from pathlib import Path
 
 import pytest
 
+from annorate import ingest
 from annorate.accession import Resolution, classify_accession
 from annorate.ingest import (
-    CorpusManifest,
+    MANIFEST_COLUMNS,
     NetworkError,
     fetch_corpus,
     list_studies,
@@ -15,6 +17,11 @@ from annorate.ingest import (
 )
 
 INVESTIGATION_BODY = 'Study Identifier\t"{sid}"\nStudy Design Type\t"x"\n'
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(ingest, "BACKOFF_S", 0)
 
 
 class TestListStudies:
@@ -45,17 +52,18 @@ class TestListStudies:
     def test_network_error_after_retries(self, stub_server):
         server = stub_server({"/boom": (500, "oops")})
         with pytest.raises(NetworkError):
-            list_studies(base_url=server.base_url + "/boom", retries=1, backoff=0)
+            list_studies(base_url=server.base_url + "/boom")
+        assert server.request_log == ["/boom"] * (ingest.RETRIES + 1)
 
     def test_too_many_requests_is_retried(self, stub_server):
         server = stub_server({"/": [(429, "slow down"), (200, "MTBLS1")]})
-        assert list_studies(base_url=server.base_url + "/", backoff=0) == ["MTBLS1"]
+        assert list_studies(base_url=server.base_url + "/") == ["MTBLS1"]
         assert server.request_log == ["/", "/"]
 
     def test_not_found_is_not_retried(self, stub_server):
         server = stub_server({"/": [(404, "gone"), (200, "MTBLS1")]})
         with pytest.raises(NetworkError, match="404"):
-            list_studies(base_url=server.base_url + "/", backoff=0)
+            list_studies(base_url=server.base_url + "/")
         assert server.request_log == ["/"]
 
 
@@ -66,7 +74,7 @@ class TestFetchCorpus:
         )
         manifest = fetch_corpus(
             ["MTBLS1", "MTBLS404"], tmp_path / "corpus",
-            base_url=server.base_url, backoff=0,
+            base_url=server.base_url,
         )
         by_id = {e.study_id: e for e in manifest.entries}
         assert by_id["MTBLS1"].status == "ok"
@@ -79,19 +87,21 @@ class TestFetchCorpus:
         server = stub_server(
             {"/MTBLS1/i_Investigation.txt": (200, INVESTIGATION_BODY.format(sid="MTBLS1"))}
         )
-        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
-        manifest = CorpusManifest.read(tmp_path / "c" / "manifest.tsv")
-        (entry,) = manifest.entries
-        assert entry.study_id == "MTBLS1"
-        assert entry.path == "MTBLS1/i_Investigation.txt"
-        assert len(entry.sha256) == 64
+        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
+        header, row = (tmp_path / "c" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+        assert tuple(header.split("\t")) == MANIFEST_COLUMNS
+        cells = dict(zip(MANIFEST_COLUMNS, row.split("\t"), strict=True))
+        assert cells["study_id"] == "MTBLS1"
+        assert cells["path"] == "MTBLS1/i_Investigation.txt"
+        assert re.fullmatch(r"[0-9a-f]{64}", cells["sha256"])
+        assert cells["status"] == "ok"
 
     def test_cache_skips_redownload(self, stub_server, tmp_path):
         body = INVESTIGATION_BODY.format(sid="MTBLS1")
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
-        first = fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
+        first = fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
         requests_before = len(server.request_log)
-        second = fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
+        second = fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
         assert len(server.request_log) == requests_before
         assert second.entries[0].status == "cached"
         assert second.entries[0].sha256 == first.entries[0].sha256
@@ -99,17 +109,17 @@ class TestFetchCorpus:
     def test_no_cache_refetches(self, stub_server, tmp_path):
         body = INVESTIGATION_BODY.format(sid="MTBLS1")
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
-        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
+        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
         before = len(server.request_log)
         fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url,
-                     backoff=0, cache=False)
+                     cache=False)
         assert len(server.request_log) == before + 1
 
     def test_manifest_appends_across_runs(self, stub_server, tmp_path):
         body = INVESTIGATION_BODY.format(sid="MTBLS1")
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
-        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
-        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, backoff=0)
+        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
+        fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
         lines = (tmp_path / "c" / "manifest.tsv").read_text().splitlines()
         assert len(lines) == 3  # header + two runs
 
@@ -125,11 +135,11 @@ class TestFetchCorpus:
 
         monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            fetch_corpus(["MTBLS1"], dest, base_url=server.base_url, backoff=0)
+            fetch_corpus(["MTBLS1"], dest, base_url=server.base_url)
         monkeypatch.undo()
         assert list((dest / "MTBLS1").iterdir()) == []
 
-        manifest = fetch_corpus(["MTBLS1"], dest, base_url=server.base_url, backoff=0)
+        manifest = fetch_corpus(["MTBLS1"], dest, base_url=server.base_url)
         assert manifest.entries[0].status == "ok"
         assert (dest / "MTBLS1" / "i_Investigation.txt").read_text(encoding="utf-8") == body
 
@@ -144,29 +154,27 @@ class TestFetchCorpus:
 
         start = time.monotonic()
         fetch_corpus(ids, tmp_path / "seq", base_url=server.base_url,
-                     concurrency=1, backoff=0)
+                     concurrency=1)
         sequential = time.monotonic() - start
 
         start = time.monotonic()
         fetch_corpus(ids, tmp_path / "par", base_url=server.base_url,
-                     concurrency=4, backoff=0)
+                     concurrency=4)
         parallel = time.monotonic() - start
         assert parallel < sequential
 
     def test_retries_transient_server_errors(self, stub_server, tmp_path):
         # stub always 500s; the retry budget is exercised, then recorded as failure
         server = stub_server({"/MTBLS1/i_Investigation.txt": (500, "boom")})
-        manifest = fetch_corpus(
-            ["MTBLS1"], tmp_path / "c", base_url=server.base_url, retries=2, backoff=0
-        )
+        manifest = fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url)
         assert manifest.entries[0].status == "fetch_failed"
-        assert len(server.request_log) == 3
+        assert len(server.request_log) == ingest.RETRIES + 1
 
     def test_verify_flags_stale_entries(self, stub_server, tmp_path):
         body = INVESTIGATION_BODY.format(sid="MTBLS1")
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
         dest = tmp_path / "c"
-        manifest = fetch_corpus(["MTBLS1"], dest, base_url=server.base_url, backoff=0)
+        manifest = fetch_corpus(["MTBLS1"], dest, base_url=server.base_url)
         assert manifest.verify(dest) == []
         (dest / "MTBLS1" / "i_Investigation.txt").write_text("tampered", encoding="utf-8")
         stale = manifest.verify(dest)
@@ -178,7 +186,7 @@ class TestFetchCorpus:
 class TestProbeAccession:
     REF = classify_accession("http://purl.obolibrary.org/obo/GO_0030257")
 
-    def probe(self, server, path, **kwargs):
+    def probe(self, server, path):
         ref = classify_accession(server.base_url + path)
         # the stub URL is not a recognized PURL shape, so classify the real
         # shape and point requests at the stub by rebuilding the ref
@@ -189,7 +197,6 @@ class TestProbeAccession:
                 ontology_prefix="GO",
                 local_id="0030257",
             ),
-            **kwargs,
         )
 
     def test_ok_term_page(self, stub_server):
@@ -211,13 +218,17 @@ class TestProbeAccession:
     def test_404_is_broken(self, stub_server):
         server = stub_server({})
         assert self.probe(server, "/missing") is Resolution.BROKEN
+        assert server.request_log == ["/missing"]
 
-    def test_custom_signatures(self, stub_server):
-        server = stub_server({"/term": (200, "totally fine")})
-        assert (
-            self.probe(server, "/term", signatures=("totally fine",))
-            is Resolution.BROKEN
-        )
+    def test_transient_503_is_retried_then_resolves(self, stub_server):
+        server = stub_server({"/term": [(503, "busy"), (200, "<html>a term page</html>")]})
+        assert self.probe(server, "/term") is Resolution.RESOLVED
+        assert server.request_log == ["/term", "/term"]
+
+    def test_persistent_500_is_broken_after_every_retry(self, stub_server):
+        server = stub_server({"/term": (500, "boom")})
+        assert self.probe(server, "/term") is Resolution.BROKEN
+        assert server.request_log == ["/term"] * (ingest.RETRIES + 1)
 
     def test_network_failure_is_broken(self):
         ref = type(self.REF)(
@@ -226,7 +237,7 @@ class TestProbeAccession:
             ontology_prefix="GO",
             local_id="0030257",
         )
-        assert probe_accession(ref, timeout=0.2) is Resolution.BROKEN
+        assert probe_accession(ref) is Resolution.BROKEN
 
     def test_rejects_non_scorable(self):
         ref = classify_accession("http://example.org/x")
