@@ -13,7 +13,8 @@ codes are script-friendly, and each failure prints one line to stderr:
   --catalog file that cannot be read as UTF-8 text, a --ids file that
   cannot be read, a --scores path that cannot be read (a directory, say),
   a scores.tsv whose line 1 is not its header, or a bad score row or
-  record given to stats.
+  record given to stats;
+* 73 an output that cannot be written.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from .audit import DEFAULT_NEAR_DUP_THRESHOLD, IrregularityKind, audit_corpus, audit_entry
-from .isatab import SCORED_TYPES, AnnotationType
+from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
 from .scoring import DomainError, EntryScore, TypeScore, log_transform
@@ -41,6 +42,7 @@ EXIT_ALL_FETCH_FAILED = 2
 EXIT_FINDINGS = 3
 EXIT_USAGE = 64
 EXIT_NO_INPUT = 65
+EXIT_CANT_CREATE = 73
 
 SCORES_TSV_COLUMNS = (
     "study_id",
@@ -91,19 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.add_argument("--ids", type=Path, help="local file of study identifiers")
     p_fetch.add_argument("--out", type=Path, required=True, help="corpus directory")
     p_fetch.add_argument("--base-url", default=None, help="repository base URL")
-    p_fetch.add_argument("--concurrency", type=_concurrency, default=4)
+    p_fetch.add_argument(
+        "--concurrency", type=_concurrency, default=4, help="parallel downloads (default 4)"
+    )
     p_fetch.add_argument("--no-cache", action="store_true", help="re-download existing files")
 
-    p_score = sub.add_parser("score", help="score a corpus directory")
-    p_score.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p_score.add_argument("--catalog", type=Path, help="prefix<TAB>obo-path catalog file")
-    p_score.add_argument("--out", type=Path, required=True, help="output directory")
-    p_score.add_argument(
+    corpus_args = argparse.ArgumentParser(add_help=False)
+    corpus_args.add_argument("--corpus", type=Path, required=True, help="corpus directory")
+    corpus_args.add_argument("--catalog", type=Path, help="prefix<TAB>obo-path catalog file")
+    corpus_args.add_argument("--out", type=Path, required=True, help="output directory")
+    corpus_args.add_argument(
         "--probe",
         action=argparse.BooleanOptionalAction,
         default=False,
         help="probe unresolved accession URLs over the network",
     )
+
+    sub.add_parser("score", parents=[corpus_args], help="score a corpus directory")
 
     p_stats = sub.add_parser("stats", help="corpus statistics and figure data")
     p_stats.add_argument("--scores", type=Path, required=True, help="scores.tsv from `annorate score`")
@@ -120,15 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the input's log columns against the log transform",
     )
 
-    p_audit = sub.add_parser("audit", help="report metadata irregularities")
-    p_audit.add_argument("--corpus", type=Path, required=True, help="corpus directory")
-    p_audit.add_argument("--catalog", type=Path, help="prefix<TAB>obo-path catalog file")
-    p_audit.add_argument("--out", type=Path, required=True, help="output directory")
+    p_audit = sub.add_parser("audit", parents=[corpus_args], help="report metadata irregularities")
     p_audit.add_argument(
-        "--near-dup-threshold", type=_near_dup_threshold, default=DEFAULT_NEAR_DUP_THRESHOLD
-    )
-    p_audit.add_argument(
-        "--probe", action=argparse.BooleanOptionalAction, default=False
+        "--near-dup-threshold",
+        type=_near_dup_threshold,
+        default=DEFAULT_NEAR_DUP_THRESHOLD,
+        help="share of the larger entry's slots that two near-duplicates may differ in"
+        " (default %(default).2f)",
     )
     p_audit.add_argument(
         "--fail-on-findings",
@@ -144,15 +148,13 @@ def main(argv: list[str] | None = None) -> int:
     if not existing.is_dir():
         print(f"--out {args.out}: {existing} is a file, not a directory", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "fetch":
-        return cmd_fetch(args)
-    if args.command == "score":
-        return cmd_score(args)
-    if args.command == "stats":
-        return cmd_stats(args)
-    if args.command == "audit":
-        return cmd_audit(args)
-    return EXIT_USAGE
+    # looked up at call time, so that a rebound cmd_* (a tracer's wrapper, say) is the one run
+    command = globals()[f"cmd_{args.command}"]
+    try:
+        return command(args)
+    except OSError as exc:  # every read failure is reported, with exit 65, where it happens
+        print(f"cannot write {exc.filename or args.out}: {_reason(exc)}", file=sys.stderr)
+        return EXIT_CANT_CREATE
 
 
 def run() -> None:
@@ -164,18 +166,14 @@ def cmd_fetch(args) -> int:
     from . import ingest
 
     base_url = args.base_url or os.environ.get(ENV_BASE_URL) or ingest.DEFAULT_BASE_URL
-    if args.ids is not None:
-        try:
-            ids = ingest.list_studies(ids_file=args.ids)
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read ids file {args.ids}: {_reason(exc)}", file=sys.stderr)
-            return EXIT_NO_INPUT
-    else:
-        try:
-            ids = ingest.list_studies(base_url=base_url)
-        except ingest.NetworkError as exc:
-            print(f"cannot list studies: {exc}", file=sys.stderr)
-            return EXIT_ALL_FETCH_FAILED
+    try:
+        ids = ingest.list_studies(base_url, args.ids)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read ids file {args.ids}: {_reason(exc)}", file=sys.stderr)
+        return EXIT_NO_INPUT
+    except ingest.NetworkError as exc:
+        print(f"cannot list studies: {exc}", file=sys.stderr)
+        return EXIT_ALL_FETCH_FAILED
     manifest = ingest.fetch_corpus(
         ids,
         args.out,
@@ -190,21 +188,24 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_score(args) -> int:
-    studies, failures = load_corpus(args.corpus)
-    if not studies:
-        print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
+    loaded = _load_inputs(args)
+    if loaded is None:
         return EXIT_NO_INPUT
-    resolver = _make_resolver(args.catalog, args.probe)
-    if resolver is None:
-        return EXIT_NO_INPUT
+    studies, resolver = loaded
     scored = [(study, process_study(study, resolver)) for study in studies]
     scored.sort(key=lambda pair: (-pair[1].log_terms, pair[1].study_id))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_scores_tsv(args.out / "scores.tsv", [score for _, score in scored])
+    _write_tsv(
+        args.out / "scores.tsv",
+        SCORES_TSV_COLUMNS,
+        (
+            (s.study_id, str(s.total_annotations), _fmt(s.global_terms), _fmt(s.log_terms),
+             _fmt(s.global_annotations), _fmt(s.log_annotations))
+            for _, s in scored
+        ),
+    )
     _write_scores_json(args.out / "scores.json", scored, resolver)
-    for failure in failures:
-        print(f"skipped: {failure}", file=sys.stderr)
     print(f"scored {len(scored)} studies into {args.out}")
     return EXIT_OK
 
@@ -272,13 +273,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    studies, failures = load_corpus(args.corpus)
-    if not studies:
-        print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
+    loaded = _load_inputs(args)
+    if loaded is None:
         return EXIT_NO_INPUT
-    resolver = _make_resolver(args.catalog, args.probe)
-    if resolver is None:
-        return EXIT_NO_INPUT
+    studies, resolver = loaded
     findings = []
     for study in studies:
         findings.extend(audit_entry(study, resolver.resolution))
@@ -286,30 +284,35 @@ def cmd_audit(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     _write_audit_json(args.out / "audit.json", findings)
-    for failure in failures:
-        print(f"skipped: {failure}", file=sys.stderr)
     print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
     return EXIT_OK
 
 
-def _make_resolver(catalog_path: Path | None, probe: bool) -> AccessionResolver | None:
-    """The resolver over ``catalog_path``; None, after a message, if it cannot be read."""
-    if catalog_path is not None:
+def _load_inputs(args) -> tuple[list[StudyMetadata], AccessionResolver] | None:
+    """The studies under ``--corpus`` and a resolver over ``--catalog``.
+
+    None, after a one-line message, when no file parses or the catalog cannot be read.
+    """
+    studies, _ = load_corpus(args.corpus)
+    if not studies:
+        print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
+        return None
+    if args.catalog is not None:
         try:
-            catalog = OntologyCatalog.from_file(catalog_path)
+            catalog = OntologyCatalog.from_file(args.catalog)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read catalog {catalog_path}: {_reason(exc)}", file=sys.stderr)
+            print(f"cannot read catalog {args.catalog}: {_reason(exc)}", file=sys.stderr)
             return None
     else:
         log.warning("no ontology catalog supplied; every term scores 0")
         catalog = OntologyCatalog()
-    if not probe:
-        return AccessionResolver(catalog)
+    if not args.probe:
+        return studies, AccessionResolver(catalog)
     from . import ingest
 
-    return AccessionResolver(catalog, prober=ingest.probe_accession)
+    return studies, AccessionResolver(catalog, prober=ingest.probe_accession)
 
 
 def _reason(exc: Exception) -> str:
@@ -328,24 +331,6 @@ def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]])
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write("\t".join(header) + "\n")
         out.writelines("\t".join(row) + "\n" for row in rows)
-
-
-def _write_scores_tsv(path: Path, scores: list[EntryScore]) -> None:
-    _write_tsv(
-        path,
-        SCORES_TSV_COLUMNS,
-        (
-            (
-                s.study_id,
-                str(s.total_annotations),
-                _fmt(s.global_terms),
-                _fmt(s.log_terms),
-                _fmt(s.global_annotations),
-                _fmt(s.log_annotations),
-            )
-            for s in scores
-        ),
-    )
 
 
 #: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".

@@ -15,6 +15,7 @@ aborts the batch. The manifest is an append-only TSV (``study_id path url
 fetched_at sha256 status``) written next to the downloaded files.
 """
 
+import errno
 import hashlib
 import logging
 import os
@@ -144,11 +145,12 @@ def fetch_corpus(
     or not at all. With ``cache`` on, an existing file is kept (status
     ``cached``) and not re-downloaded.
     Per-study failures are recorded with status ``fetch_failed`` and a
-    warning, and never abort the batch: a failed request, a cached path that
-    cannot be read (a directory, say), or a study directory that cannot be
-    made (a file is in its place). Only an unwritable ``dest_dir`` or a
-    failed write of downloaded bytes raises. Rows keep the input id order
-    regardless of download completion order.
+    warning, and never abort the batch: a failed request, a directory at the
+    file's path (whether ``cache`` is on or off), a cached file that cannot
+    be read, or a study directory that cannot be made (a file is in its
+    place). Only an unwritable ``dest_dir`` or a failed write of downloaded
+    bytes raises. Rows keep the input id order regardless of download
+    completion order.
     """
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
@@ -160,6 +162,8 @@ def fetch_corpus(
         try:
             if cache and target.exists():
                 data, status = target.read_bytes(), STATUS_CACHED
+            elif target.is_dir():  # os.replace could not put a download in its place
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             else:
                 data, status = _get_with_retries(url, FETCH_TIMEOUT_S).content, STATUS_OK
                 target.parent.mkdir(parents=True, exist_ok=True)

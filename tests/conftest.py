@@ -218,7 +218,10 @@ class StubServer:
             self._server.RequestHandlerClass = type(
                 "DelayedHandler", (_StubHandler,), {"do_GET": delayed}
             )
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll interval, so that close() does not wait out serve_forever's 0.5 s default
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     @property

@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, outputs, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -101,6 +102,15 @@ class TestUsageErrors:
             run_cli(["fetch", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "o"),
                      "--concurrency", "0"])
         assert err.value.code == cli.EXIT_USAGE
+
+    def test_every_option_has_help(self):
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {"fetch", "score", "stats", "audit"}
+        for name, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if not isinstance(action, argparse._HelpAction):
+                    assert action.help, f"{name} {action.option_strings} has no help"
 
     @pytest.mark.parametrize(
         "command, input_option",
@@ -664,6 +674,45 @@ class TestAudit:
         empty.mkdir()
         code = run_cli(["audit", "--corpus", str(empty), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_NO_INPUT
+
+
+class TestReporting:
+    """Each problem ends in one stderr line."""
+
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_each_skipped_file_is_named_once(self, command, mtbls95_corpus, tmp_path):
+        bad = mtbls95_corpus / "MTBLS0" / "i_Investigation.txt"
+        bad.parent.mkdir()
+        bad.write_text("no field rows here\n", encoding="utf-8")
+        # a new process, so that the console entry point's log handler writes to stderr
+        result = subprocess.run(
+            [sys.executable, "-m", "annorate", command, "--corpus", str(mtbls95_corpus),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert result.returncode == cli.EXIT_OK, result.stderr
+        assert result.stderr.count(str(bad)) == 1, result.stderr
+
+    @pytest.mark.parametrize(
+        "command, output", [("score", "scores.json"), ("stats", "hist.tsv"), ("audit", "audit.json")]
+    )
+    def test_unwritable_output_exits_with_one_line(
+        self, command, output, mtbls95_corpus, mtbls95_catalog, tmp_path, capsys
+    ):
+        corpus_args = ["--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog)]
+        scores = tmp_path / "scores"
+        assert run_cli(["score", *corpus_args, "--out", str(scores)]) == cli.EXIT_OK
+        inputs = {
+            "score": corpus_args,
+            "stats": ["--scores", str(scores / "scores.tsv")],
+            "audit": corpus_args,
+        }
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli([command, *inputs[command], "--out", str(out)]) == cli.EXIT_CANT_CREATE
+        assert capsys.readouterr() == ("", f"cannot write {out / output}: Is a directory\n")
 
 
 class TestCatalogInput:

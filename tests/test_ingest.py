@@ -115,6 +115,22 @@ class TestFetchCorpus:
                      cache=False)
         assert len(server.request_log) == before + 1
 
+    def test_no_cache_records_a_blocked_study_as_failed(self, stub_server, tmp_path, caplog):
+        server = stub_server(
+            {f"/{sid}/i_Investigation.txt": (200, INVESTIGATION_BODY.format(sid=sid))
+             for sid in ("MTBLS1", "MTBLS2")}
+        )
+        blocked = tmp_path / "c" / "MTBLS1" / "i_Investigation.txt"
+        blocked.mkdir(parents=True)
+        manifest = fetch_corpus(["MTBLS1", "MTBLS2"], tmp_path / "c",
+                                base_url=server.base_url, cache=False)
+        assert [(e.study_id, e.status) for e in manifest.entries] == [
+            ("MTBLS1", "fetch_failed"), ("MTBLS2", "ok"),
+        ]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and str(blocked) in warnings[0]
+        assert blocked.is_dir()
+
     def test_manifest_appends_across_runs(self, stub_server, tmp_path):
         body = INVESTIGATION_BODY.format(sid="MTBLS1")
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
