@@ -6,10 +6,11 @@ that the scoring pipeline reads directly, and probing is optional (with
 probing off, resolution outcomes derive solely from the ontology catalog).
 
 Every request, whether a listing, a download or a probe, goes through one
-helper with one policy: network errors, HTTP 5xx and HTTP 429 are retried
-up to ``RETRIES`` times, after ``BACKOFF_S`` seconds and then twice as long
-before each later retry; any other 4xx fails at once. Downloads wait up to
-``FETCH_TIMEOUT_S`` seconds for each response, probes ``PROBE_TIMEOUT_S``.
+``urllib`` helper with one policy: network errors, HTTP 5xx and HTTP 429 are
+retried up to ``RETRIES`` times, after ``BACKOFF_S`` seconds and then twice as
+long before each later retry; any other 4xx, a final 3xx that ``urllib`` does
+not follow, and a URL that is not http(s) or that it cannot send fail at once.
+Downloads wait up to ``FETCH_TIMEOUT_S`` seconds, probes ``PROBE_TIMEOUT_S``.
 Downloads run through a bounded worker pool, and one failing study never
 aborts the batch. The manifest is an append-only TSV (``study_id path url
 fetched_at sha256 status``) written next to the downloaded files.
@@ -17,21 +18,21 @@ fetched_at sha256 status``) written next to the downloaded files.
 
 import errno
 import hashlib
+import http.client
 import logging
 import os
 import re
 import time
+import urllib.error
+import urllib.request
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import __version__
 from .accession import AccessionRef, Resolution
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +124,7 @@ def list_studies(
     if ids_file is not None:
         text = Path(ids_file).read_text(encoding="utf-8")
     elif base_url is not None:
-        text = _get_with_retries(base_url, FETCH_TIMEOUT_S).text
+        text = _get_with_retries(base_url, FETCH_TIMEOUT_S).decode("utf-8", "replace")
     else:
         raise ValueError("either base_url or ids_file is required")
     ids = sorted(set(re.findall(STUDY_ID_PATTERN, text)))
@@ -165,7 +166,7 @@ def fetch_corpus(
             elif target.is_dir():  # os.replace could not put a download in its place
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             else:
-                data, status = _get_with_retries(url, FETCH_TIMEOUT_S).content, STATUS_OK
+                data, status = _get_with_retries(url, FETCH_TIMEOUT_S), STATUS_OK
                 target.parent.mkdir(parents=True, exist_ok=True)
         except (NetworkError, OSError) as exc:
             log.warning("fetch failed for %s: %s", study_id, exc)
@@ -186,15 +187,15 @@ def fetch_corpus(
 def probe_accession(ref: AccessionRef) -> Resolution:
     """Probe a scorable accession URL for liveness.
 
-    Resolved on a final 2xx/3xx status whose body carries none of
+    Resolved on a final 2xx status whose body carries none of
     ``BROKEN_SIGNATURES``; Broken on a signature match or when the request
-    fails under the module's one retry policy (a 4xx other than 429 at once;
-    a network error, 5xx or 429 that persists through every retry).
+    fails under the module's one retry policy (a 3xx left unfollowed or a 4xx
+    other than 429 at once; a network error, 5xx or 429 through every retry).
     """
     if not ref.is_scorable:
         raise ValueError(f"cannot probe accession of kind {ref.kind.value}")
     try:
-        body = _get_with_retries(ref.raw, PROBE_TIMEOUT_S).text
+        body = _get_with_retries(ref.raw, PROBE_TIMEOUT_S).decode("utf-8", "replace")
     except NetworkError as exc:
         log.warning("probe of %s failed: %s", ref.raw, exc)
         return Resolution.BROKEN
@@ -203,27 +204,26 @@ def probe_accession(ref: AccessionRef) -> Resolution:
     return Resolution.RESOLVED
 
 
-def _get_with_retries(url: str, timeout: float) -> "requests.Response":
-    # requests is imported here, not by the module: its import is a large
-    # share of a short process's start-up, and score, stats and audit never
-    # use it.
-    import requests
-
+def _get_with_retries(url: str, timeout: float) -> bytes:
+    if not url.lower().startswith(("http://", "https://")):  # urllib reads file: URLs from disk
+        raise NetworkError(f"cannot request {url}: not an http or https URL")
     last_error: Exception | None = None
     for attempt in range(RETRIES + 1):
         if attempt:
             time.sleep(BACKOFF_S * 2 ** (attempt - 1))
         try:
-            response = requests.get(url, timeout=timeout)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, headers={"User-Agent": f"annorate/{__version__}"})
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.read()
+        except urllib.error.HTTPError as exc:  # a 4xx or 5xx, or a 3xx that urllib does not follow
+            exc.close()
+            last_error = NetworkError(f"HTTP {exc.code} for {url}")
+            if exc.code < 500 and exc.code != 429:
+                raise last_error
+        except (ValueError, http.client.InvalidURL) as exc:  # a URL that urllib cannot send
+            raise NetworkError(f"cannot request {url}: {exc}") from None
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
-            continue
-        status = response.status_code
-        if status < 400:
-            return response
-        last_error = NetworkError(f"HTTP {status} for {url}")
-        if status < 500 and status != 429:
-            raise last_error
     raise NetworkError(f"request to {url} failed: {last_error}")
 
 

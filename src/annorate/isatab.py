@@ -3,11 +3,10 @@
 Investigation files (``i_*.txt``) are tab-delimited with one field per row:
 ``FieldName<TAB>"value 1"<TAB>"value 2"...``. The five annotation-type field
 rows (study design, factor, assay measurement, protocol, person role) carry
-the free-text term labels; their parallel ``... Term Accession Number`` and
-``... Term Source REF`` rows carry positionally aligned accession URLs and
-source names. Cell *i* of a type row pairs with cell *i* of its accession
-row; when the accession row is shorter, the unmatched trailing labels become
-unannotated terms.
+the free-text term labels; their parallel ``... Term Accession Number`` rows
+carry positionally aligned accession URLs. Cell *i* of a type row pairs with
+cell *i* of its accession row; when the accession row is shorter, the
+unmatched trailing labels become unannotated terms.
 
 Files may contain several ``STUDY`` blocks; each block parses into its own
 :class:`StudyMetadata`. A ``STUDY`` row with no other non-empty cell opens a
@@ -21,8 +20,10 @@ for those rows and ``STUDY`` rows, and every other row is skipped. Parsing
 is a pure function of its input and safe to call concurrently.
 """
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 
 
@@ -54,16 +55,23 @@ ACCESSION_SUFFIX = " Term Accession Number"
 SOURCE_REF_SUFFIX = " Term Source REF"
 IDENTIFIER_FIELD = "Study Identifier"
 
-#: Each recognized field row name: None for the study identifier, otherwise
-#: its annotation type and column (0 labels, 1 accessions, 2 source refs).
+#: Each recognized field row name: its annotation type and column (0 labels,
+#: 1 accessions), or None for a row no slot keeps (identifier, Term Source REF).
 _FIELDS: dict[str, tuple[AnnotationType, int] | None] = {
     IDENTIFIER_FIELD: None,
+    **{base + SOURCE_REF_SUFFIX: None for base in TYPE_FIELDS.values()},
     **{
         base + suffix: (annotation_type, column)
         for annotation_type, base in TYPE_FIELDS.items()
-        for column, suffix in enumerate(("", ACCESSION_SUFFIX, SOURCE_REF_SUFFIX))
+        for column, suffix in enumerate(("", ACCESSION_SUFFIX))
     },
 }
+
+#: What a study id cannot carry into ``scores.tsv``: a tab, anything
+#: ``str.splitlines`` breaks on, and a lone surrogate (an undecodable byte of
+#: a path name, as ``os.fsdecode`` gives it). A pattern string, compiled on
+#: first use, so that a process that parses no file does not compile it.
+_UNSAFE_ID_CHARS = "[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]"
 
 
 class MalformedFileError(Exception):
@@ -76,7 +84,6 @@ class TermSlot:
 
     label: str
     accession: str = ""
-    source_ref: str = ""
 
 
 @dataclass
@@ -129,7 +136,7 @@ def parse_investigation(content: str, source_name: str = "") -> list[StudyMetada
         )
     studies = []
     for index, (fields, warnings) in enumerate(blocks):
-        columns = {annotation_type: [[], [], []] for annotation_type in TYPE_FIELDS}
+        columns = {annotation_type: [[], []] for annotation_type in TYPE_FIELDS}
         for name, cells in fields.items():
             if _FIELDS[name] is not None:
                 annotation_type, column = _FIELDS[name]
@@ -147,7 +154,10 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
     Decoding is UTF-8 first (BOM tolerated); invalid byte sequences are
     replaced and recorded as a warning on every parsed study. The fallback
     study id is the containing directory for the conventional
-    ``i_Investigation.txt`` layout, otherwise the file stem.
+    ``i_Investigation.txt`` layout, otherwise the file stem. Each character
+    of that name that ``scores.tsv`` cannot carry (a tab, a line break, an
+    undecodable byte) is replaced with U+FFFD, and a warning is recorded on
+    every parsed study.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -161,7 +171,10 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
         source_name = path.parent.name
     else:
         source_name = path.stem
-    studies = parse_investigation(content, source_name)
+    safe_name = re.sub(_UNSAFE_ID_CHARS, "\ufffd", source_name)
+    if safe_name != source_name:
+        warnings.append(f"unsafe characters of the path name {source_name!r} replaced")
+    studies = parse_investigation(content, safe_name)
     for study in studies:
         study.source_path = str(path)
         study.warnings = warnings + study.warnings
@@ -175,14 +188,6 @@ def _clean_cell(cell: str) -> str:
     return cell
 
 
-def _pair_slots(
-    labels: list[str], accessions: list[str], sources: list[str]
-) -> list[TermSlot]:
-    slots = []
-    for i in range(max(len(labels), len(accessions))):
-        label = labels[i] if i < len(labels) else ""
-        accession = accessions[i] if i < len(accessions) else ""
-        source = sources[i] if i < len(sources) else ""
-        if label or accession:
-            slots.append(TermSlot(label=label, accession=accession, source_ref=source))
-    return slots
+def _pair_slots(labels: list[str], accessions: list[str]) -> list[TermSlot]:
+    pairs = zip_longest(labels, accessions, fillvalue="")
+    return [TermSlot(label, accession) for label, accession in pairs if label or accession]

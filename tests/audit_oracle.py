@@ -6,17 +6,20 @@ it normalizes every label, classifies every accession and asks
 ``resolution`` once per slot. ``oracle_prefix_join`` is the near-duplicate
 join as it was before it ordered entries by size: an exact prefix-filtered
 join in input order, which verifies every candidate with a multiset
-intersection. Both share the finding types with the package, so findings
-compare equal.
+intersection. ``oracle_slot_multiset`` builds those multisets without the
+package's own key, so a wrong key in the package shows up as a difference.
+Both oracles share the finding types with the package, so findings compare
+equal.
 
 Used by ``tests/test_audit.py`` and by the CI step that runs the
 near-duplicate join on a 10x corpus (``sys.path`` must include ``tests/``).
 """
 
 import math
+from collections import Counter
 
 from annorate.accession import Resolution, classify_accession
-from annorate.audit import Irregularity, IrregularityKind, Resolver, _slot_multiset
+from annorate.audit import Irregularity, IrregularityKind, Resolver
 from annorate.isatab import AnnotationType, StudyMetadata
 
 _RESOLUTION_FINDINGS = {
@@ -27,6 +30,15 @@ _RESOLUTION_FINDINGS = {
 
 def _normalize_label(label: str) -> str:
     return " ".join(label.lower().split())
+
+
+def oracle_slot_multiset(metadata: StudyMetadata) -> Counter:
+    """An entry's slots as (type name, normalized label, accession), repeats counted."""
+    return Counter(
+        (annotation_type.value, _normalize_label(slot.label), slot.accession)
+        for annotation_type in AnnotationType
+        for slot in metadata.slots.get(annotation_type, ())
+    )
 
 
 def oracle_audit_entry(
@@ -102,7 +114,7 @@ def oracle_prefix_join(
     Entries are indexed in input order, and every pair that shares a
     prefix token is a candidate, whatever the two entries' sizes.
     """
-    multisets = [_slot_multiset(e) for e in entries]
+    multisets = [oracle_slot_multiset(e) for e in entries]
 
     token_ids: dict = {}
     token_lists = []

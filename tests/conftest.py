@@ -175,6 +175,7 @@ def read_reference_scores():
 class _StubHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         self.server.request_log.append(self.path)
+        self.server.request_headers.append(self.headers)
         route = self.server.routes.get(self.path)
         if isinstance(route, list):
             route = route.pop(0) if len(route) > 1 else route[0]
@@ -182,8 +183,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(404)
             body = b"not found"
         else:
-            status, body = route
+            status, body, *location = route
             self.send_response(status)
+            if location:
+                self.send_header("Location", location[0])
             if isinstance(body, str):
                 body = body.encode("utf-8")
         self.send_header("Content-Type", "text/plain; charset=utf-8")
@@ -199,13 +202,17 @@ class StubServer:
     """Tiny local HTTP server serving a path->(status, body) route table.
 
     A route may also map to a list of (status, body) responses, served one
-    per request in order, the last one for every request after it.
+    per request in order, the last one for every request after it. A
+    response (status, body, location) also sends a ``Location`` header, so a
+    route can redirect. Each request's path is logged in ``request_log`` and
+    its headers in ``request_headers``.
     """
 
     def __init__(self, routes=None, latency=0.0):
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.routes = dict(routes or {})
         self._server.request_log = []
+        self._server.request_headers = []
         if latency:
             inner = _StubHandler.do_GET
 
@@ -232,6 +239,10 @@ class StubServer:
     @property
     def request_log(self):
         return self._server.request_log
+
+    @property
+    def request_headers(self):
+        return self._server.request_headers
 
     def add_route(self, path, status, body):
         self._server.routes[path] = (status, body)

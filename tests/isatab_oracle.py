@@ -88,8 +88,7 @@ def _parse_block(
     for annotation_type, base in TYPE_FIELDS.items():
         labels = fields.get(base, [])
         accessions = fields.get(base + ACCESSION_SUFFIX, [])
-        sources = fields.get(base + SOURCE_REF_SUFFIX, [])
-        slots[annotation_type] = _pair_slots(labels, accessions, sources)
+        slots[annotation_type] = _pair_slots(labels, accessions)
 
     identifier_cells = fields.get(IDENTIFIER_FIELD, [])
     study_id = identifier_cells[0] if identifier_cells and identifier_cells[0] else fallback_id
@@ -98,14 +97,11 @@ def _parse_block(
     )
 
 
-def _pair_slots(
-    labels: list[str], accessions: list[str], sources: list[str]
-) -> list[TermSlot]:
+def _pair_slots(labels: list[str], accessions: list[str]) -> list[TermSlot]:
     slots = []
     for i in range(max(len(labels), len(accessions))):
         label = labels[i] if i < len(labels) else ""
         accession = accessions[i] if i < len(accessions) else ""
-        source = sources[i] if i < len(sources) else ""
         if label or accession:
-            slots.append(TermSlot(label=label, accession=accession, source_ref=source))
+            slots.append(TermSlot(label=label, accession=accession))
     return slots

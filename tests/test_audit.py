@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from audit_oracle import oracle_audit_entry
+from audit_oracle import oracle_audit_entry, oracle_slot_multiset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from annorate.accession import Resolution
 from annorate.audit import (
     Irregularity,
     IrregularityKind,
-    _slot_multiset,
     audit_corpus,
     audit_entry,
 )
@@ -36,7 +35,7 @@ NMR_ACC = "http://purl.obolibrary.org/obo/CHMO_0000591"
 def _near_dup_oracle(entries, near_dup_threshold):
     """The all-pairs near-duplicate scan: one multiset intersection per pair."""
     findings = []
-    multisets = [(_slot_multiset(e), e.study_id) for e in entries]
+    multisets = [(oracle_slot_multiset(e), e.study_id) for e in entries]
     for i in range(len(multisets)):
         for j in range(i + 1, len(multisets)):
             (ms_a, id_a), (ms_b, id_b) = multisets[i], multisets[j]

@@ -242,6 +242,26 @@ class TestScore:
         lines = (out / "scores.tsv").read_text().splitlines()
         assert lines[1] == "MTBLS0\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000"
 
+    @pytest.mark.parametrize("name", [
+        pytest.param(b"MTBLS\xff1", id="non-utf-8"),
+        pytest.param(b"MTBLS\t1", id="tab"),
+        pytest.param(b"MTBLS\n1", id="line-feed"),
+        pytest.param("MTBLS\u00851".encode(), id="next-line"),
+        pytest.param("MTBLS\u20281".encode(), id="line-separator"),
+    ])
+    def test_study_id_from_a_path_name_keeps_scores_tsv_readable(self, tmp_path, name):
+        """score writes, and stats reads back, a row of six cells for any directory name."""
+        corpus = os.path.join(os.fsencode(tmp_path), b"corpus")
+        os.makedirs(os.path.join(corpus, name))
+        with open(os.path.join(corpus, name, b"i_Investigation.txt"), "w", encoding="utf-8") as f:
+            f.write(investigation_text(sections={AnnotationType.DESIGN: (["free text"], [])}))
+        out = tmp_path / "out"
+        assert run_cli(["score", "--corpus", os.fsdecode(corpus), "--out", str(out)]) == cli.EXIT_OK
+        rows = (out / "scores.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2 and all(len(row.split("\t")) == 6 for row in rows)
+        stats_argv = ["stats", "--scores", str(out / "scores.tsv"), "--out", str(out)]
+        assert run_cli(stats_argv) == cli.EXIT_OK
+
     def test_reruns_are_byte_identical(self, mtbls95_corpus, mtbls95_catalog, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         args = ["score", "--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog)]

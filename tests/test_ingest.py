@@ -1,11 +1,15 @@
 """Corpus acquisition against a local stub HTTP server."""
 
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import annorate
 from annorate import ingest
 from annorate.accession import Resolution, classify_accession
 from annorate.ingest import (
@@ -236,6 +240,30 @@ class TestProbeAccession:
         assert self.probe(server, "/missing") is Resolution.BROKEN
         assert server.request_log == ["/missing"]
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307])
+    def test_redirect_to_a_term_page_resolves(self, stub_server, status):
+        """A PURL answers with a redirect to the term page it names."""
+        server = stub_server({
+            "/purl": (status, "", "/term"),
+            "/term": (200, "<html>a term page</html>"),
+        })
+        assert self.probe(server, "/purl") is Resolution.RESOLVED
+        assert server.request_log == ["/purl", "/term"]
+
+    def test_redirect_to_a_missing_page_is_broken(self, stub_server):
+        server = stub_server({"/purl": (302, "", "/missing")})
+        assert self.probe(server, "/purl") is Resolution.BROKEN
+        assert server.request_log == ["/purl", "/missing"]
+
+    def test_unfollowed_redirect_is_broken_at_once(self, stub_server):
+        """A final 3xx that is not followed fails as a 4xx does, without a retry."""
+        server = stub_server({
+            "/purl": (300, "multiple choices", "/term"),
+            "/term": (200, "<html>a term page</html>"),
+        })
+        assert self.probe(server, "/purl") is Resolution.BROKEN
+        assert server.request_log == ["/purl"]
+
     def test_transient_503_is_retried_then_resolves(self, stub_server):
         server = stub_server({"/term": [(503, "busy"), (200, "<html>a term page</html>")]})
         assert self.probe(server, "/term") is Resolution.RESOLVED
@@ -259,3 +287,62 @@ class TestProbeAccession:
         ref = classify_accession("http://example.org/x")
         with pytest.raises(ValueError):
             probe_accession(ref)
+
+
+class TestRequestPath:
+    """What every listing, download and probe request has in common."""
+
+    def test_sends_the_package_user_agent(self, stub_server):
+        server = stub_server({"/": (200, "MTBLS1")})
+        list_studies(base_url=server.base_url + "/")
+        assert server.request_headers[0]["User-Agent"] == f"annorate/{annorate.__version__}"
+
+    @pytest.mark.parametrize("url", [
+        pytest.param("file://{ids}", id="file-url"),
+        pytest.param("{base}/a\x01b", id="control-character"),
+        pytest.param("{base}/\u00e9", id="non-ascii"),
+        pytest.param("http://127.0.0.1:port/", id="bad-port"),
+    ])
+    def test_a_url_that_cannot_be_requested_fails_at_once(
+        self, url, stub_server, tmp_path, monkeypatch
+    ):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("MTBLS1\n", encoding="utf-8")
+        server = stub_server({})
+        sleeps = []
+        monkeypatch.setattr(ingest.time, "sleep", sleeps.append)
+        with pytest.raises(NetworkError, match="cannot request"):
+            list_studies(base_url=url.format(base=server.base_url, ids=ids))
+        assert server.request_log == []
+        assert sleeps == []  # no retry
+
+    def test_fetch_and_probe_need_no_third_party_package(self, stub_server, tmp_path):
+        """A new interpreter that cannot import requests fetches and probes."""
+        server = stub_server({
+            "/MTBLS1/i_Investigation.txt": (200, INVESTIGATION_BODY.format(sid="MTBLS1")),
+            "/term": (200, "<html>a term page</html>"),
+        })
+        ids = tmp_path / "ids.txt"
+        ids.write_text("MTBLS1\n", encoding="utf-8")
+        out = tmp_path / "corpus"
+        code = f"""
+import sys
+sys.modules["requests"] = None
+from annorate import cli, ingest
+from annorate.accession import AccessionKind, AccessionRef
+argv = ["fetch", "--ids", {str(ids)!r}, "--base-url", {server.base_url!r}, "--out", {str(out)!r}]
+print(cli.main(argv))
+ref = AccessionRef({server.base_url + "/term"!r}, AccessionKind.OBO_PURL, "GO", "0030257")
+print(ingest.probe_accession(ref).value)
+"""
+        src = str(Path(annorate.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == ["0", Resolution.RESOLVED.value]
+        assert (out / "MTBLS1" / "i_Investigation.txt").read_text(encoding="utf-8") == (
+            INVESTIGATION_BODY.format(sid="MTBLS1")
+        )
+        assert server.request_log == ["/MTBLS1/i_Investigation.txt", "/term"]

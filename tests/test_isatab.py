@@ -1,5 +1,7 @@
 """Investigation file parsing."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,18 +143,25 @@ class TestParse:
         )
         assert n_accessions(study, AnnotationType.DESIGN) == 1
 
-    def test_source_ref_cells(self):
+    def test_repeated_source_ref_row_warns(self):
         content = investigation_text(
-            sections={
-                AnnotationType.ASSAY: (
-                    ["metabolite profiling"],
-                    ["http://purl.obolibrary.org/obo/OBI_0000470"],
-                    ["OBI"],
-                )
-            }
+            sections={AnnotationType.ASSAY: (["profiling"], ["http://x.org/1"], ["OBI"])}
         )
+        content += TYPE_FIELDS[AnnotationType.ASSAY] + SOURCE_REF_SUFFIX + '\t"CHMO"\n'
         study = parse_single(content, "s")
-        assert study.slots[AnnotationType.ASSAY][0].source_ref == "OBI"
+        assert study.slots[AnnotationType.ASSAY] == [TermSlot("profiling", "http://x.org/1")]
+        assert study.warnings == [
+            f"duplicate field row {TYPE_FIELDS[AnnotationType.ASSAY] + SOURCE_REF_SUFFIX!r}"
+            " ignored (kept first)"
+        ]
+
+    def test_source_ref_rows_alone_are_a_study_without_slots(self):
+        content = "".join(
+            f'{base}{SOURCE_REF_SUFFIX}\t"OBI"\n' for base in TYPE_FIELDS.values()
+        )
+        study = parse_single(content, "MTBLS9")
+        assert study.study_id == "MTBLS9"
+        assert all(slots == [] for slots in study.slots.values())
 
     def test_multi_study_file(self):
         block1 = investigation_text(
@@ -203,6 +212,28 @@ class TestLoadInvestigation:
         path.write_text("Study Design Type\t\"x\"\n", encoding="utf-8")
         (study,) = load_investigation(path)
         assert study.study_id == "MTBLS77"
+
+    @pytest.mark.parametrize("name, expected", [
+        pytest.param(b"MTBLS\xff7", "MTBLS\ufffd7", id="non-utf-8"),
+        pytest.param(b"MTBLS\t7", "MTBLS\ufffd7", id="tab"),
+        pytest.param(b"MTBLS\r\n7", "MTBLS\ufffd\ufffd7", id="crlf"),
+        pytest.param("MTBLS\u20287".encode(), "MTBLS\ufffd7", id="line-separator"),
+    ])
+    def test_unsafe_characters_of_a_fallback_id_are_replaced(self, tmp_path, name, expected):
+        study_dir = os.path.join(os.fsencode(tmp_path), name)
+        os.mkdir(study_dir)
+        with open(os.path.join(study_dir, b"i_Investigation.txt"), "w", encoding="utf-8") as f:
+            f.write('Study Design Type\t"x"\n')
+        (study,) = load_investigation(os.fsdecode(os.path.join(study_dir, b"i_Investigation.txt")))
+        assert study.study_id == expected
+        assert len(study.warnings) == 1 and "path name" in study.warnings[0]
+
+    def test_study_identifier_under_an_unsafe_path_name_is_kept(self, tmp_path):
+        study_dir = tmp_path / "MTBLS\t95"
+        study_dir.mkdir()
+        (study_dir / "i_Investigation.txt").write_text(mtbls95_investigation(), encoding="utf-8")
+        (study,) = load_investigation(study_dir / "i_Investigation.txt")
+        assert study.study_id == "MTBLS95"
 
     def test_bom_tolerated(self, tmp_path):
         path = tmp_path / "i_x.txt"
