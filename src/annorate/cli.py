@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .audit import DEFAULT_NEAR_DUP_THRESHOLD, IrregularityKind, audit_corpus, audit_entry
+from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
@@ -283,7 +283,10 @@ def cmd_audit(args) -> int:
     findings.extend(audit_corpus(studies, near_dup_threshold=args.near_dup_threshold))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_audit_json(args.out / "audit.json", findings)
+    _write_json_list(
+        args.out / "audit.json",
+        ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence} for f in findings),
+    )
     print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
@@ -340,7 +343,7 @@ _LABEL_OPENING = "{\n" + _ANNOTATION_INDENT + '  "label": '
 
 
 class _Encoded(str):
-    """Report JSON text already laid out for its place, which ``_json_indented`` copies."""
+    """A scores.json annotation record laid out for its place; ``_json_indented`` copies it."""
 
 
 def _write_scores_json(path: Path, scored, resolver) -> None:
@@ -386,34 +389,11 @@ def _score_record(study, score: EntryScore, encode_annotation) -> dict:
     }
 
 
-def _write_audit_json(path: Path, findings) -> None:
-    """Write ``findings`` as ``{study_id, kind, evidence}`` records, as ``json.dumps`` would.
-
-    Each record's three fields are encoded straight into its text at the
-    record's fixed nesting, so no record dict is built.
-    """
-    kinds = {kind: encode_basestring_ascii(kind.value) for kind in IrregularityKind}
-    _write_json_list(
-        path,
-        (
-            _Encoded(
-                '{\n    "study_id": '
-                + encode_basestring_ascii(f.study_id)
-                + ',\n    "kind": '
-                + kinds[f.kind]
-                + ',\n    "evidence": '
-                + encode_basestring_ascii(f.evidence)
-                + "\n  }"
-            )
-            for f in findings
-        ),
-    )
-
-
 def _write_json_list(path: Path, records) -> None:
     """Write ``json.dump(list(records), out, indent=2)`` and a newline, record by record.
 
-    Each record is encoded and written before the next is asked for, so the
+    Both reports go through here. Each record is encoded by
+    :func:`_json_indented` and written before the next is asked for, so the
     whole document never sits in memory.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as out:

@@ -150,7 +150,8 @@ def fetch_corpus(
     file's path (whether ``cache`` is on or off), a cached file that cannot
     be read, or a study directory that cannot be made (a file is in its
     place). Only an unwritable ``dest_dir`` or a failed write of downloaded
-    bytes raises. Rows keep the input id order regardless of download
+    bytes raises, and a ``concurrency`` below 1 raises ``ValueError`` before
+    any request. Rows keep the input id order regardless of download
     completion order.
     """
     dest = Path(dest_dir)
@@ -176,8 +177,7 @@ def fetch_corpus(
         path = str(target.relative_to(dest))
         return ManifestEntry(study_id, path, url, stamp, _sha256(data), status)
 
-    workers = max(1, concurrency)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
         entries = list(pool.map(fetch_one, ids))
     manifest = CorpusManifest(entries)
     manifest.write(dest)

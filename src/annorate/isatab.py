@@ -157,7 +157,8 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
     ``i_Investigation.txt`` layout, otherwise the file stem. Each character
     of that name that ``scores.tsv`` cannot carry (a tab, a line break, an
     undecodable byte) is replaced with U+FFFD, and a warning is recorded on
-    every parsed study.
+    every parsed study. Each lone surrogate of the path (an undecodable byte
+    of a directory name) becomes U+FFFD in ``source_path``, without a warning.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -175,8 +176,9 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
     if safe_name != source_name:
         warnings.append(f"unsafe characters of the path name {source_name!r} replaced")
     studies = parse_investigation(content, safe_name)
+    source_path = re.sub("[\ud800-\udfff]", "\ufffd", str(path))
     for study in studies:
-        study.source_path = str(path)
+        study.source_path = source_path
         study.warnings = warnings + study.warnings
     return studies
 

@@ -262,6 +262,26 @@ class TestScore:
         stats_argv = ["stats", "--scores", str(out / "scores.tsv"), "--out", str(out)]
         assert run_cli(stats_argv) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("parts", [
+        pytest.param((b"bad\xffname",), id="study-directory"),
+        pytest.param((b"par\xfeent", b"MTBLS1"), id="parent-directory"),
+    ])
+    def test_source_path_under_a_non_utf_8_directory_is_utf_8_text(self, tmp_path, parts):
+        """Each undecodable byte of the path becomes U+FFFD in scores.json's source_path."""
+        study_dir = os.path.join(os.fsencode(tmp_path), b"corpus", *parts)
+        os.makedirs(study_dir)
+        with open(os.path.join(study_dir, b"i_Investigation.txt"), "w", encoding="utf-8") as f:
+            f.write(investigation_text(sections={AnnotationType.DESIGN: (["free text"], [])}))
+        out = tmp_path / "out"
+        corpus = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"corpus"))
+        assert run_cli(["score", "--corpus", corpus, "--out", str(out)]) == cli.EXIT_OK
+        [record] = json.loads((out / "scores.json").read_bytes())
+        source_path = record["source_path"]
+        assert source_path.encode("utf-8")
+        assert source_path.endswith("/i_Investigation.txt") and "\ufffd" in source_path
+        if len(parts) == 2:  # the study id is the clean MTBLS1, so nothing is warned
+            assert record["warnings"] == []
+
     def test_reruns_are_byte_identical(self, mtbls95_corpus, mtbls95_catalog, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         args = ["score", "--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog)]
@@ -688,6 +708,30 @@ class TestAudit:
         report = json.loads((out / "audit.json").read_text())
         near_dups = [f for f in report if f["kind"] == "NearDuplicateEntry"]
         assert len(near_dups) == 10
+
+    def test_unusual_text_is_encoded_as_json_dumps_would(self, tmp_path):
+        text = 'q"\\\x00\x1f\u00e9\U0001f600z'  # none of these is a line break to splitlines
+        accession_url = f"http://example.org/{text}"
+        corpus = tmp_path / "corpus"
+        write_study(
+            corpus, "MTBLS1",
+            investigation_text(
+                study_id="MTBLS1",
+                sections={
+                    AnnotationType.DESIGN: ([text, text], [accession_url] * 2),
+                    AnnotationType.FACTOR: ([text], []),
+                },
+            ),
+        )
+        out = tmp_path / "out"
+        assert run_cli(["audit", "--corpus", str(corpus), "--out", str(out)]) == cli.EXIT_OK
+        data = (out / "audit.json").read_bytes()
+        report = json.loads(data)
+        assert data == (json.dumps(report, indent=2) + "\n").encode()
+        evidence = {f["kind"]: f["evidence"] for f in report}
+        assert evidence["NonPurlAccession"] == f"Design: {accession_url}"
+        assert repr(text) in evidence["RepeatedAnnotation"]
+        assert repr(text) in evidence["CrossTypeUnannotatedDuplicate"]
 
     def test_no_input(self, tmp_path):
         empty = tmp_path / "empty"

@@ -183,6 +183,13 @@ class TestFetchCorpus:
         parallel = time.monotonic() - start
         assert parallel < sequential
 
+    def test_zero_workers_is_rejected_before_any_request(self, stub_server, tmp_path):
+        body = INVESTIGATION_BODY.format(sid="MTBLS1")
+        server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
+        with pytest.raises(ValueError):
+            fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, concurrency=0)
+        assert server.request_log == []
+
     def test_retries_transient_server_errors(self, stub_server, tmp_path):
         # stub always 500s; the retry budget is exercised, then recorded as failure
         server = stub_server({"/MTBLS1/i_Investigation.txt": (500, "boom")})
