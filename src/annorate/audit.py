@@ -282,7 +282,5 @@ def _near_dup_candidates(
             continue
         token_set = set(tokens)
         for j in found:
-            if n - sizes[j] > t * n:
-                continue
             differ = n - len(token_set.intersection(token_lists[j]))
             yield (j, i, differ, n) if j < i else (i, j, differ, n)

@@ -151,11 +151,10 @@ def fetch_corpus(
     be read, or a study directory that cannot be made (a file is in its
     place). Only an unwritable ``dest_dir`` or a failed write of downloaded
     bytes raises, and a ``concurrency`` below 1 raises ``ValueError`` before
-    any request. Rows keep the input id order regardless of download
-    completion order.
+    any request or directory is made. Rows keep the input id order regardless
+    of download completion order.
     """
     dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
 
     def fetch_one(study_id: str) -> ManifestEntry:
         url = f"{base_url.rstrip('/')}/{study_id}/{INVESTIGATION_FILENAME}"
@@ -177,7 +176,8 @@ def fetch_corpus(
         path = str(target.relative_to(dest))
         return ManifestEntry(study_id, path, url, stamp, _sha256(data), status)
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:  # rejects a count below 1
+        dest.mkdir(parents=True, exist_ok=True)
         entries = list(pool.map(fetch_one, ids))
     manifest = CorpusManifest(entries)
     manifest.write(dest)

@@ -15,9 +15,10 @@ without one is a single block.
 
 Each file is read in one pass over its lines. A line's first cell is
 cleaned (whitespace and one pair of enclosing quotes stripped) and looked
-up in one table of recognized field rows; the other cells are cleaned only
-for those rows and ``STUDY`` rows, and every other row is skipped. Parsing
-is a pure function of its input and safe to call concurrently.
+up in one set of recognized field row names. Those rows keep their cells
+raw, and a study cleans only the ones it reads: its labels, accessions and
+identifier. Every other row but ``STUDY`` headers is skipped. Parsing is a
+pure function of its input and safe to call concurrently.
 """
 
 import re
@@ -55,17 +56,12 @@ ACCESSION_SUFFIX = " Term Accession Number"
 SOURCE_REF_SUFFIX = " Term Source REF"
 IDENTIFIER_FIELD = "Study Identifier"
 
-#: Each recognized field row name: its annotation type and column (0 labels,
-#: 1 accessions), or None for a row no slot keeps (identifier, Term Source REF).
-_FIELDS: dict[str, tuple[AnnotationType, int] | None] = {
-    IDENTIFIER_FIELD: None,
-    **{base + SOURCE_REF_SUFFIX: None for base in TYPE_FIELDS.values()},
-    **{
-        base + suffix: (annotation_type, column)
-        for annotation_type, base in TYPE_FIELDS.items()
-        for column, suffix in enumerate(("", ACCESSION_SUFFIX))
-    },
-}
+#: Each recognized field row name: the study identifier and, per annotation
+#: type, its label, accession and Term Source REF rows.
+_FIELDS = frozenset(
+    [IDENTIFIER_FIELD]
+    + [base + s for base in TYPE_FIELDS.values() for s in ("", ACCESSION_SUFFIX, SOURCE_REF_SUFFIX)]
+)
 
 #: What a study id cannot carry into ``scores.tsv``: a tab, anything
 #: ``str.splitlines`` breaks on, and a lone surrogate (an undecodable byte of
@@ -124,7 +120,7 @@ def parse_investigation(content: str, source_name: str = "") -> list[StudyMetada
             if name in fields:
                 warnings.append(f"duplicate field row {name!r} ignored (kept first)")
             else:
-                fields[name] = [_clean_cell(cell) for cell in cells[1:]]
+                fields[name] = cells[1:]
         elif name == "STUDY" and not any(map(_clean_cell, cells[1:])):
             if not in_study:  # rows before the first STUDY header belong to no study
                 blocks.clear()
@@ -136,14 +132,12 @@ def parse_investigation(content: str, source_name: str = "") -> list[StudyMetada
         )
     studies = []
     for index, (fields, warnings) in enumerate(blocks):
-        columns = {annotation_type: [[], []] for annotation_type in TYPE_FIELDS}
-        for name, cells in fields.items():
-            if _FIELDS[name] is not None:
-                annotation_type, column = _FIELDS[name]
-                columns[annotation_type][column] = cells
-        study_id = (fields.get(IDENTIFIER_FIELD) or [""])[0]
+        study_id = _clean_cell((fields.get(IDENTIFIER_FIELD) or [""])[0])
         fallback = source_name if index == 0 else f"{source_name}_study{index + 1}"
-        slots = {t: _pair_slots(*column) for t, column in columns.items()}
+        slots = {
+            t: _pair_slots(fields.get(base, []), fields.get(base + ACCESSION_SUFFIX, []))
+            for t, base in TYPE_FIELDS.items()
+        }
         studies.append(StudyMetadata(study_id or fallback, slots, source_name, warnings))
     return studies
 
@@ -191,5 +185,6 @@ def _clean_cell(cell: str) -> str:
 
 
 def _pair_slots(labels: list[str], accessions: list[str]) -> list[TermSlot]:
-    pairs = zip_longest(labels, accessions, fillvalue="")
+    """Pair raw label and accession cells by position, cleaning each."""
+    pairs = zip_longest(map(_clean_cell, labels), map(_clean_cell, accessions), fillvalue="")
     return [TermSlot(label, accession) for label, accession in pairs if label or accession]

@@ -52,6 +52,8 @@ class TestClassify:
             "example.org/myterm",
             "http://",
             "GO_0030257",
+            # urlparse raises ValueError on an unclosed IPv6 host
+            "http://[::1",
         ],
     )
     def test_non_urls_are_malformed(self, raw):

@@ -427,6 +427,32 @@ class TestStats:
         assert code == cli.EXIT_NO_INPUT
         assert capsys.readouterr().err == f"cannot read {tmp_path}: Is a directory\n"
 
+    def test_header_only_input_exits_with_no_score_rows(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\t".join(cli.SCORES_TSV_COLUMNS) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(out)])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == f"no score rows in {scores}\n"
+        assert not out.exists()
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rows = [
+            "\t".join(cli.SCORES_TSV_COLUMNS),
+            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922",
+            "MTBLS2\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000",
+        ]
+        outputs = []
+        for name, lines in (("plain", rows), ("blank", rows[:2] + ["", " \t "] + rows[2:])):
+            scores = tmp_path / name / "scores.tsv"
+            scores.parent.mkdir()
+            scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / name / "out"
+            assert run_cli(["stats", "--scores", str(scores), "--out", str(out)]) == cli.EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 4
+
     def test_single_row_input(self, tmp_path):
         scores = tmp_path / "scores.tsv"
         scores.write_text(

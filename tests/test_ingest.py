@@ -189,6 +189,7 @@ class TestFetchCorpus:
         with pytest.raises(ValueError):
             fetch_corpus(["MTBLS1"], tmp_path / "c", base_url=server.base_url, concurrency=0)
         assert server.request_log == []
+        assert not (tmp_path / "c").exists()
 
     def test_retries_transient_server_errors(self, stub_server, tmp_path):
         # stub always 500s; the retry budget is exercised, then recorded as failure

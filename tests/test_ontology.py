@@ -297,6 +297,13 @@ class TestCatalog:
         catalog_file.write_text("# prefix\tpath\n\nT\tt.obo\n", encoding="utf-8")
         assert OntologyCatalog.from_file(catalog_file).prefixes == {"T"}
 
+    def test_line_without_a_tab_is_skipped_with_warning(self, tmp_path, caplog):
+        (tmp_path / "t.obo").write_text(CHAIN, encoding="utf-8")
+        catalog_file = tmp_path / "catalog.tsv"
+        catalog_file.write_text("GO go.obo\nT\tt.obo\n", encoding="utf-8")
+        assert OntologyCatalog.from_file(catalog_file).prefixes == {"T"}
+        assert f"{catalog_file}:1: skipping malformed catalog line" in caplog.text
+
     def test_byte_order_mark_opening_the_catalog_is_not_part_of_a_prefix(self, tmp_path):
         (tmp_path / "go.obo").write_text(chain_obo(["GO:1", "GO:2"]), encoding="utf-8")
         catalog_file = tmp_path / "catalog.tsv"
