@@ -477,8 +477,9 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
     non-finite cell or a ``histogram_column`` value outside [0, 100], and
     naming the record on a malformed scores.json record (see
     :func:`_read_per_type`). Raises ``OSError`` when a file cannot be read.
+    A byte order mark opening either file is dropped.
     """
-    lines = scores_path.read_text(encoding="utf-8").splitlines()
+    lines = scores_path.read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0] != "\t".join(SCORES_TSV_COLUMNS):
         header = ", ".join(SCORES_TSV_COLUMNS)
         raise ValueError(f"line 1 is not the scores.tsv header ({header})")
@@ -521,14 +522,16 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
 
     Raises ``ValueError`` naming the record (its study id, or its position
     when it has none) and the key when the record is not an object, lacks a
-    key, names an unknown type, or holds a value of the wrong JSON kind;
-    naming the file when it is nested too deeply to decode; and as ``json``
-    does when it is not JSON.
+    key, names an unknown type, or holds a value of the wrong JSON kind; and
+    naming the file when it is nested too deeply to decode, or is not UTF-8
+    or not JSON (then with the codec's or ``json``'s own message).
     """
     try:
-        records = json.loads(json_path.read_text(encoding="utf-8"))
+        records = json.loads(json_path.read_text(encoding="utf-8-sig"))
     except RecursionError:
         raise ValueError(f"{json_path.name}: nested too deeply to read") from None
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise ValueError(f"{json_path.name}: {exc}") from None
     if not isinstance(records, list):
         raise ValueError(f"{json_path.name}: not a list of records")
     per_type_by_study: dict[str, list[dict[AnnotationType, TypeScore]]] = {}

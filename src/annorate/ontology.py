@@ -30,9 +30,16 @@ ids and one id-to-number dict. One Kahn pass over the numbers gives the
 topological order and the depths; one reverse walk of that order gives the
 heights.
 
-A generated 250k-term taxonomy (21 MB of OBO) loads in ~2.5 s with a
-process peak of 107 MiB, and a 1M-term one (87 MB) in ~10.6 s with
-371 MiB (2 vCPU, Python 3.11).
+:meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
+entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
+module's source. A later load of the same file reads the entry back as
+these arrays and the ids, with no parse; an entry is plain data, never
+unpickled, and a missing or damaged one only means a parse.
+
+A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~2.8 s with a
+process peak of 107 MiB and warm in ~0.2 s with 77 MiB; a 1M-term one
+(87 MB) cold in ~12 s with 375 MiB and warm in ~1.0 s with 255 MiB
+(2 vCPU, Python 3.11).
 """
 
 from array import array
@@ -43,6 +50,8 @@ from operator import not_
 from pathlib import Path
 from typing import TextIO
 import logging
+import os
+import sys
 
 log = logging.getLogger(__name__)
 
@@ -125,6 +134,18 @@ class OntologyGraph:
                 if height[p] < h:
                     height[p] = h
         self._height = array("i", height)
+
+    @classmethod
+    def _from_arrays(cls, prefix: str, names: list[str], arrays: list[array]) -> "OntologyGraph":
+        """The graph whose ``_ARRAYS`` are ``arrays``, taken as a built graph left them."""
+        graph = cls.__new__(cls)
+        graph.prefix = prefix
+        graph._names = names
+        graph._index = dict(zip(names, range(len(names))))
+        for name, values in zip(_ARRAYS, arrays):
+            setattr(graph, name, values)
+        graph.roots = frozenset(compress(names, map(not_, graph._depth)))  # depth 0: no parent
+        return graph
 
     def _topological_order(self, remaining: list[int]) -> tuple[array, array]:
         """Kahn's pass over term numbers, given their parent counts; also returns each depth."""
@@ -283,6 +304,127 @@ def _pieces(source: str | TextIO) -> Iterator[str]:
     yield tail
 
 
+#: The attributes of an :class:`OntologyGraph` that a cache entry stores, in entry order.
+_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height")
+
+#: First word of a cache entry and of its key; a new entry layout takes a new tag.
+_ENTRY_TAG = b"annorate-graph-1"
+
+
+def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
+    """The graph of ``obo_path`` under ``prefix``: from its cache entry when valid, else parsed.
+
+    A parsed graph is stored for the next run. The cache never changes the
+    result: whatever goes wrong with it (no home directory, an unwritable
+    or full disk, a damaged entry) only means a parse. A file that fails to
+    load raises as :func:`load_obo` does and is never stored.
+    """
+    entry = _cache_entry(obo_path, prefix)
+    if entry is not None and (graph := _read_entry(entry, prefix)) is not None:
+        return graph
+    with open(obo_path, encoding="utf-8-sig") as obo:
+        graph = load_obo(obo, prefix)
+    if entry is not None:
+        _write_entry(entry, graph)
+    return graph
+
+
+def _cache_entry(obo_path: Path, prefix: str) -> Path | None:
+    """Path of the cache entry for ``obo_path`` under ``prefix``, or None when there is none.
+
+    Entries live in ``$XDG_CACHE_HOME/annorate/graphs/`` (``~/.cache`` when
+    that variable is unset or relative). The name is the SHA-256 of the entry
+    tag, this module's source, the prefix and the OBO file's bytes, so an
+    edited file, prefix or loader never meets an old entry.
+    """
+    import hashlib  # here, so that commands which load no ontology never import it
+
+    cache_home = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        root = Path(cache_home) if os.path.isabs(cache_home) else Path.home() / ".cache"
+        key = hashlib.sha256()
+        for part in (_ENTRY_TAG, Path(__file__).read_bytes(), prefix.encode("utf-8")):
+            key.update(b"%d:" % len(part))
+            key.update(part)
+        with open(obo_path, "rb") as obo:
+            while chunk := obo.read(CHUNK_CHARS):
+                key.update(chunk)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    return root / "annorate" / "graphs" / f"{key.hexdigest()}.graph"
+
+
+def _entry_head(lengths: list[int], digest: str) -> bytes:
+    """An entry's first line: tag, byte order, item size, the lengths, the body's SHA-256."""
+    fields = [sys.byteorder, array("i").itemsize, *lengths, digest]
+    return b" ".join([_ENTRY_TAG, *(str(field).encode("ascii") for field in fields)]) + b"\n"
+
+
+def _write_entry(entry: Path, graph: OntologyGraph) -> None:
+    """Store ``graph`` at ``entry``: its head line, the ``_ARRAYS``, then its ids joined by ``\\n``.
+
+    The entry is written to a temporary file beside it and renamed into
+    place, so a reader never sees a partial one and racing writers leave one
+    whole entry. Nothing in it is pickled: it is read back as plain arrays
+    and text. An ``OSError`` leaves the cache as it was.
+    """
+    import hashlib
+    import tempfile
+
+    ids = "\n".join(graph._names).encode("utf-8")  # an id never holds a line break
+    body = [*(getattr(graph, name) for name in _ARRAYS), ids]
+    digest = hashlib.sha256()
+    for piece in body:
+        digest.update(piece)
+    head = _entry_head([len(piece) for piece in body], digest.hexdigest())
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(dir=entry.parent, prefix=f".{entry.name}.", suffix=".part")
+        try:
+            with open(fd, "wb") as out:
+                out.write(head)
+                for piece in body:
+                    out.write(piece)
+            os.replace(partial, entry)
+        finally:
+            Path(partial).unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
+def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
+    """The graph stored at ``entry``, or None when it is missing, damaged or of another layout."""
+    import hashlib
+
+    try:
+        data = entry.read_bytes()
+    except OSError:
+        return None
+    cut = data.find(b"\n") + 1
+    try:  # the head's fields: tag, byte order, item size, the lengths, the digest
+        lengths = [int(field) for field in data[:cut].split()[3:-1]]
+    except ValueError:
+        return None
+    body = memoryview(data)[cut:]
+    itemsize = array("i").itemsize
+    # a foreign tag, byte order or item size fails here, and so does any damage to the body
+    head = _entry_head(lengths, hashlib.sha256(body).hexdigest())
+    if len(lengths) != len(_ARRAYS) + 1 or data[:cut] != head:
+        return None
+    arrays = []
+    start = 0
+    for length in lengths[:-1]:
+        values = array("i")
+        values.frombytes(body[start : start + length * itemsize])
+        arrays.append(values)
+        start += length * itemsize
+    names = str(body[start:], "utf-8").split("\n")
+    n, edges = len(names), lengths[1]
+    if list(map(len, arrays)) != [n + 1, edges, n + 1, edges, n, n]:
+        return None
+    return OntologyGraph._from_arrays(prefix, names, arrays)
+
+
 class OntologyCatalog:
     """Read-only map from ontology prefix to a loaded :class:`OntologyGraph`.
 
@@ -293,7 +435,9 @@ class OntologyCatalog:
     with a warning: an incomplete catalog degrades lookups to ``None``, it
     never crashes scoring. The catalog file itself must be readable UTF-8
     text; otherwise ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
-    A byte order mark opening the catalog or an OBO file is dropped.
+    A byte order mark opening the catalog or an OBO file is dropped. A
+    graph is read from the graph cache when it holds an entry for the OBO
+    file's exact bytes, and parsed and stored there otherwise.
     """
 
     def __init__(self, graphs: dict[str, OntologyGraph] | None = None):
@@ -326,8 +470,7 @@ class OntologyCatalog:
             if not obo_path.is_absolute():
                 obo_path = catalog_path.parent / obo_path
             try:
-                with open(obo_path, encoding="utf-8-sig") as obo:
-                    graphs[prefix] = load_obo(obo, prefix)
+                graphs[prefix] = _load_cached(obo_path, prefix)
             except (OSError, UnicodeDecodeError, OntologyError) as exc:
                 log.warning("catalog prefix %s unavailable: %s", prefix, exc)
         return cls(graphs)

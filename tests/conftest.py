@@ -12,6 +12,18 @@ DATA_DIR = Path(__file__).parent / "data"
 REFERENCE_SCORES = DATA_DIR / "metabolights_global_scores.tsv"
 
 
+@pytest.fixture(autouse=True)
+def graph_cache(tmp_path_factory, monkeypatch):
+    """An empty ontology graph cache of each test's own; returns its entry directory.
+
+    No test reads an entry that another test wrote, and none writes to the
+    user's own cache.
+    """
+    cache_home = tmp_path_factory.mktemp("cache-home")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    return cache_home / "annorate" / "graphs"
+
+
 def quote_cells(cells):
     return "\t".join(f'"{c}"' for c in cells)
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: subcommands, outputs, exit codes."""
 
 import argparse
+import codecs
 import json
 import os
 import subprocess
@@ -641,6 +642,44 @@ class TestStats:
             f"bad score row in {tmp_path / 'scores.tsv'}: scores.json: nested too deeply to read"
         )
 
+    @pytest.mark.parametrize("name", ["scores.tsv", "scores.json"])
+    def test_byte_order_mark_opening_a_scores_file_is_dropped(self, scores_dir, tmp_path, name):
+        expected, marked = tmp_path / "expected", tmp_path / "marked"
+        assert run_cli(["stats", "--scores", str(scores_dir / "scores.tsv"),
+                        "--out", str(expected)]) == cli.EXIT_OK
+        path = scores_dir / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert run_cli(["stats", "--scores", str(scores_dir / "scores.tsv"),
+                        "--out", str(marked)]) == cli.EXIT_OK
+        for output in ("stats.tsv", "hist.tsv", "boxplot.tsv", "gaps.tsv"):
+            assert (marked / output).read_bytes() == (expected / output).read_bytes(), output
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                b'[{"study_id": "caf\xe9"}]',
+                "scores.json: 'utf-8' codec can't decode byte 0xe9 in position 18:"
+                " invalid continuation byte",
+            ),
+            (b"MTBLS1\t0\n", "scores.json: Expecting value: line 1 column 1 (char 0)"),
+            (b"[]\n[]\n", "scores.json: Extra data: line 2 column 1 (char 3)"),
+        ],
+        ids=["not-utf-8", "not-json", "data-after-the-list"],
+    )
+    def test_unreadable_scores_json_exits_naming_it(self, tmp_path, capsys, content, message):
+        (tmp_path / "scores.tsv").write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t0\t0.0000000\t0.0000000\t0.0000000\t0.0000000\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "scores.json").write_bytes(content)
+        code = run_cli(["stats", "--scores", str(tmp_path / "scores.tsv"),
+                        "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        err = capsys.readouterr().err
+        assert err == f"bad score row in {tmp_path / 'scores.tsv'}: {message}\n"
+
     def test_studies_sharing_an_id_keep_their_own_type_scores(
         self, mtbls95_corpus, mtbls95_catalog, tmp_path
     ):
@@ -1079,6 +1118,23 @@ class TestStartup:
         )
         assert out.splitlines()[-1] == "0 False"
         assert (tmp_path / "stats.tsv").is_file()
+
+    def test_import_and_stats_leave_hashlib_unloaded(self, tmp_path):
+        """Only loading an ontology hashes, for its graph cache key; stats loads none."""
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n",
+            encoding="utf-8",
+        )
+        argv = ["stats", "--scores", str(scores), "--out", str(tmp_path)]
+        out = run_fresh(
+            "import sys, annorate.cli; "
+            "imported = 'hashlib' in sys.modules; "
+            f"code = annorate.cli.main({argv!r}); "
+            "print(imported, code, 'hashlib' in sys.modules)"
+        )
+        assert out.splitlines()[-1] == "False 0 False"
 
     def test_score_stats_and_audit_leave_ingest_unloaded(self, tmp_path):
         """Only fetch and --probe load the network code."""

@@ -1,9 +1,14 @@
 """Ontology loading and depth/branch/specificity metrics."""
 
 import codecs
+import hashlib
 import io
 import itertools
+import os
 import random
+import tempfile
+from array import array
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -467,3 +472,198 @@ class TestOracle:
             streamed = load_outcome(lambda: load_obo(io.StringIO(content), "T"))
         assert_same_graph(streamed, expected)
         assert_same_graph(load_outcome(lambda: load_obo(content, "T")), streamed)
+
+
+def cache_entries(graph_cache):
+    """Names of the files in the graph cache directory."""
+    return sorted(p.name for p in graph_cache.iterdir()) if graph_cache.exists() else []
+
+
+def load_catalog(catalog_path):
+    """The catalog at ``catalog_path`` and how many OBO files it parsed."""
+    with mock.patch.object(ontology, "load_obo", wraps=ontology.load_obo) as load:
+        catalog = OntologyCatalog.from_file(catalog_path)
+    return catalog, load.call_count
+
+
+def assert_same_catalog(catalog, expected):
+    assert catalog.prefixes == expected.prefixes
+    for prefix in expected.prefixes:
+        assert_same_graph(catalog.get(prefix), expected.get(prefix))
+
+
+def flip_bit(entry, position):
+    return entry[:position] + bytes([entry[position] ^ 0x01]) + entry[position + 1 :]
+
+
+def foreign_byte_order(entry):
+    """``entry`` as a machine of the other byte order would have written it."""
+    head, _, body = entry.partition(b"\n")
+    tag, order, itemsize, *lengths, _ = head.split()
+    pieces, start = [], 0
+    for length in map(int, lengths[:-1]):
+        values = array("i")
+        values.frombytes(body[start : start + length * int(itemsize)])
+        values.byteswap()
+        pieces.append(values.tobytes())
+        start += length * int(itemsize)
+    swapped = b"".join(pieces) + body[start:]
+    other = {b"little": b"big", b"big": b"little"}[order]
+    digest = hashlib.sha256(swapped).hexdigest().encode()
+    return b" ".join([tag, other, itemsize, *lengths, digest]) + b"\n" + swapped
+
+
+class TestGraphCache:
+    """A cache entry only ever saves a parse: every load gives the parsed graph."""
+
+    @pytest.fixture
+    def catalog_path(self, tmp_path):
+        return write_catalog(tmp_path / "ontologies", {"T": merge_obo(CHAIN, DIAMOND)})
+
+    @pytest.mark.parametrize("workload", ["ontology-heavy", "corpus-heavy"])
+    def test_warm_load_equals_cold_on_a_generated_catalog(
+        self, workload, tmp_path, graph_cache, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import generate
+
+        spec = generate.WORKLOADS[workload]
+        generate._write_catalog(random.Random(f"{workload}:1"), spec, tmp_path / "ontologies")
+        cold, parsed = load_catalog(tmp_path / "ontologies" / "catalog.tsv")
+        assert parsed == len(spec.ontologies)
+        assert len(cache_entries(graph_cache)) == len(spec.ontologies)
+        warm, parsed = load_catalog(tmp_path / "ontologies" / "catalog.tsv")
+        assert parsed == 0
+        assert_same_catalog(warm, cold)
+
+    def test_warm_load_equals_cold_on_the_reference_catalog(self, mtbls95_catalog):
+        cold, parsed = load_catalog(mtbls95_catalog)
+        assert parsed == 5
+        warm, parsed = load_catalog(mtbls95_catalog)
+        assert parsed == 0
+        assert_same_catalog(warm, cold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(obo_like_text())
+    def test_warm_load_equals_parse_on_any_content(self, content):
+        expected = load_outcome(lambda: load_obo(content, "T"))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+            os.environ, {"XDG_CACHE_HOME": tmp}
+        ):
+            catalog_path = write_catalog(Path(tmp) / "ontologies", {"T": content})
+            cold, _ = load_catalog(catalog_path)
+            warm, parsed = load_catalog(catalog_path)
+            entries = cache_entries(Path(tmp) / "annorate" / "graphs")
+        if isinstance(expected, OntologyError):
+            assert cold.prefixes == warm.prefixes == frozenset()
+            assert (parsed, entries) == (1, [])
+        else:
+            assert (parsed, len(entries)) == (0, 1)
+            assert_same_graph(cold.get("T"), expected)
+            assert_same_graph(warm.get("T"), expected)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry: entry[: len(entry) // 2],
+            lambda entry: flip_bit(entry, len(entry) - 3),
+            lambda entry: flip_bit(entry, entry.index(b"\n") + 5),
+            lambda entry: flip_bit(entry, entry.index(b"\n") - 70),
+            lambda entry: b"x" + entry[1:],
+            lambda entry: b"",
+            foreign_byte_order,
+        ],
+        ids=["truncated", "bit-flipped-id", "bit-flipped-array", "bit-flipped-length",
+             "wrong-magic", "empty", "foreign-byte-order"],
+    )
+    def test_damaged_entry_is_a_miss_and_is_rewritten(self, damage, catalog_path, graph_cache):
+        cold, _ = load_catalog(catalog_path)
+        (name,) = cache_entries(graph_cache)
+        entry = graph_cache / name
+        written = entry.read_bytes()
+        entry.write_bytes(damage(written))
+        reloaded, parsed = load_catalog(catalog_path)
+        assert parsed == 1
+        assert_same_catalog(reloaded, cold)
+        assert entry.read_bytes() == written
+        assert load_catalog(catalog_path)[1] == 0
+
+    def test_unwritable_cache_still_loads_without_a_warning(
+        self, catalog_path, tmp_path, monkeypatch, caplog
+    ):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for _ in range(2):
+            catalog, parsed = load_catalog(catalog_path)
+            assert parsed == 1
+            assert_same_graph(catalog.get("T"), load_obo(merge_obo(CHAIN, DIAMOND), "T"))
+        assert caplog.records == []
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_relative_cache_home_is_ignored(self, catalog_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        load_catalog(catalog_path)
+        assert not (tmp_path / "relative").exists()
+        assert len(cache_entries(tmp_path / "home" / ".cache" / "annorate" / "graphs")) == 1
+        assert load_catalog(catalog_path)[1] == 0
+
+    def test_changed_obo_bytes_miss(self, catalog_path, graph_cache):
+        load_catalog(catalog_path)
+        obo = catalog_path.parent / "t.obo"
+        obo.write_text(obo.read_text(encoding="utf-8") + "[Term]\nid: T:4\nis_a: T:3\n",
+                       encoding="utf-8")
+        catalog, parsed = load_catalog(catalog_path)
+        assert parsed == 1
+        assert catalog.lookup("T", "T:4").score == 1.0
+        assert len(cache_entries(graph_cache)) == 2
+
+    def test_one_file_under_two_prefixes_has_two_entries(self, tmp_path, graph_cache):
+        content = merge_obo(CHAIN, chain_obo(["X:1", "X:2"]))
+        (tmp_path / "both.obo").write_text(content, encoding="utf-8")
+        (tmp_path / "catalog.tsv").write_text("T\tboth.obo\nX\tboth.obo\n", encoding="utf-8")
+        for expected_parses in (2, 0):
+            catalog, parsed = load_catalog(tmp_path / "catalog.tsv")
+            assert parsed == expected_parses
+            assert catalog.get("T").terms == {"T:1", "T:2", "T:3"}
+            assert catalog.get("X").terms == {"X:1", "X:2"}
+        assert len(cache_entries(graph_cache)) == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            (b"[Term]\nid: T:1\nname: caf\xe9\n", "codec can't decode"),
+            (b"format-version: 1.2\n", "no terms with prefix 'T'"),
+            (b"[Term]\nid: T:1\nis_a: T:2\n\n[Term]\nid: T:2\nis_a: T:1\n", "cycle"),
+        ],
+        ids=["missing", "non-utf-8", "empty", "cyclic"],
+    )
+    def test_failed_file_is_never_cached(self, content, message, tmp_path, graph_cache, caplog):
+        if content is not None:
+            (tmp_path / "t.obo").write_bytes(content)
+        (tmp_path / "catalog.tsv").write_text("T\tt.obo\n", encoding="utf-8")
+        for attempt in (1, 2):
+            assert OntologyCatalog.from_file(tmp_path / "catalog.tsv").prefixes == frozenset()
+            warnings = [r.getMessage() for r in caplog.records if "T unavailable" in r.getMessage()]
+            assert len(warnings) == attempt and message in warnings[-1]
+        assert cache_entries(graph_cache) == []
+
+    def test_racing_loads_leave_one_valid_entry(self, catalog_path, graph_cache):
+        replace = os.replace
+        raced = []
+
+        def race_then_replace(partial, entry):
+            if not raced:  # another load finishes between this one's write and rename
+                raced.append(OntologyCatalog.from_file(catalog_path))
+            replace(partial, entry)
+
+        with mock.patch.object(ontology.os, "replace", side_effect=race_then_replace):
+            first = OntologyCatalog.from_file(catalog_path)
+        assert len(cache_entries(graph_cache)) == 1
+        warm, parsed = load_catalog(catalog_path)
+        assert parsed == 0
+        for catalog in (*raced, warm):
+            assert_same_catalog(catalog, first)
