@@ -26,9 +26,10 @@ Python container: parents and children are two CSR layouts (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., §3.4), each an
 ``array('i')`` of offsets plus an ``array('i')`` of term numbers, and depth
 and height are two more ``array('i')``. Beyond that it keeps the list of
-ids and one id-to-number dict. One Kahn pass over the numbers gives the
-topological order and the depths; one reverse walk of that order gives the
-heights.
+ids and one more ``array('i')`` of the term numbers in id order, so a term
+is found by bisection over its id, with no id-to-number dict. One Kahn pass
+over the numbers gives the topological order and the depths; one reverse
+walk of that order gives the heights.
 
 :meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
 entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
@@ -36,15 +37,19 @@ module's source. A later load of the same file reads the entry back as
 these arrays and the ids, with no parse; an entry is plain data, never
 unpickled, and a missing or damaged one only means a parse.
 
-A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~2.8 s with a
-process peak of 107 MiB and warm in ~0.2 s with 77 MiB; a 1M-term one
-(87 MB) cold in ~12 s with 375 MiB and warm in ~1.0 s with 255 MiB
-(2 vCPU, Python 3.11).
+A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~3 s with a
+process peak of 101 MiB (98 MiB resident after the load) and warm in
+~0.1 s with 63 MiB (48 MiB after the load); a 1M-term one (87 MB) cold in
+11-14 s with 349 MiB (325 MiB after) and warm in ~0.37 s with 192 MiB
+(131 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
+Python 3.11).
 """
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
 from pathlib import Path
@@ -92,28 +97,29 @@ class OntologyGraph:
     ``parents`` maps every term to its parent terms, each of which must be a
     key too (else ``OntologyError``); repeated parents count once. Terms are
     numbered in the mapping's order. The graph keeps no reference to the
-    mapping: parents and children become CSR arrays and depth and height
-    are precomputed, so a query is one dictionary lookup plus array
-    indexing.
+    mapping: parents and children become CSR arrays, depth and height are
+    precomputed, and the term numbers are kept sorted by id, so a query is
+    one bisection (about log2 n string comparisons) plus array indexing.
     """
 
     def __init__(self, prefix: str, parents: Mapping[str, Collection[str]]):
         self.prefix = prefix
         self._names = names = list(parents)
-        self._index = index = dict(zip(names, range(len(names))))
+        index = dict(zip(names, range(len(names))))
         n = len(names)
         # The parents of term t are up[up_start[t]:up_start[t + 1]]. A repeated
         # parent stays repeated: the passes below release its copies together,
         # and queries return sets.
         degree = array("i", map(len, parents.values()))
         self._up_start = up_start = array("i", accumulate(degree, initial=0))
-        self.roots = frozenset(compress(names, map(not_, degree)))
         try:
             self._up = up = array("i", map(index.__getitem__, chain.from_iterable(parents.values())))
         except KeyError as exc:
             missing = exc.args[0]
             term = next(t for t, ps in parents.items() if missing in ps)
             raise OntologyError(f"{term}: parent {missing} is not a term of the graph") from None
+        del index  # only the edges need it; a query bisects the numbers sorted by id
+        self._by_name = array("i", sorted(range(n), key=names.__getitem__))
         # The children of term t, ascending, are down[down_start[t]:down_start[t + 1]].
         count = array("i", [0]) * (n + 1)
         for p in up:
@@ -141,10 +147,8 @@ class OntologyGraph:
         graph = cls.__new__(cls)
         graph.prefix = prefix
         graph._names = names
-        graph._index = dict(zip(names, range(len(names))))
         for name, values in zip(_ARRAYS, arrays):
             setattr(graph, name, values)
-        graph.roots = frozenset(compress(names, map(not_, graph._depth)))  # depth 0: no parent
         return graph
 
     def _topological_order(self, remaining: list[int]) -> tuple[array, array]:
@@ -187,8 +191,13 @@ class OntologyGraph:
     def terms(self) -> frozenset[str]:
         return frozenset(self._names)
 
+    @property
+    def roots(self) -> frozenset[str]:
+        """The terms without a parent, which are those of depth 0."""
+        return frozenset(compress(self._names, map(not_, self._depth)))
+
     def __contains__(self, term: str) -> bool:
-        return term in self._index
+        return self._find(term) >= 0
 
     def __len__(self) -> int:
         return len(self._names)
@@ -219,10 +228,18 @@ class OntologyGraph:
         return DepthMetrics(depth=depth, branch_length=branch, score=score)
 
     def _id(self, term: str) -> int:
-        try:
-            return self._index[term]
-        except KeyError:
-            raise UnknownTermError(term) from None
+        i = self._find(term)
+        if i < 0:
+            raise UnknownTermError(term)
+        return i
+
+    def _find(self, term: str) -> int:
+        """The number of ``term``, or -1 when it is not a term of the graph."""
+        by_name, names = self._by_name, self._names
+        at = bisect_left(by_name, term, key=names.__getitem__)
+        if at < len(by_name) and names[by_name[at]] == term:
+            return by_name[at]
+        return -1
 
 
 def load_obo(source: str | TextIO, prefix: str) -> OntologyGraph:
@@ -305,10 +322,10 @@ def _pieces(source: str | TextIO) -> Iterator[str]:
 
 
 #: The attributes of an :class:`OntologyGraph` that a cache entry stores, in entry order.
-_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height")
+_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height", "_by_name")
 
 #: First word of a cache entry and of its key; a new entry layout takes a new tag.
-_ENTRY_TAG = b"annorate-graph-1"
+_ENTRY_TAG = b"annorate-graph-2"
 
 
 def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
@@ -343,7 +360,7 @@ def _cache_entry(obo_path: Path, prefix: str) -> Path | None:
     try:
         root = Path(cache_home) if os.path.isabs(cache_home) else Path.home() / ".cache"
         key = hashlib.sha256()
-        for part in (_ENTRY_TAG, Path(__file__).read_bytes(), prefix.encode("utf-8")):
+        for part in (_ENTRY_TAG, _source(), prefix.encode("utf-8")):
             key.update(b"%d:" % len(part))
             key.update(part)
         with open(obo_path, "rb") as obo:
@@ -352,6 +369,12 @@ def _cache_entry(obo_path: Path, prefix: str) -> Path | None:
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
     return root / "annorate" / "graphs" / f"{key.hexdigest()}.graph"
+
+
+@cache
+def _source() -> bytes:
+    """This module's source, read once per process for the cache key."""
+    return Path(__file__).read_bytes()
 
 
 def _entry_head(lengths: list[int], digest: str) -> bytes:
@@ -420,7 +443,7 @@ def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
         start += length * itemsize
     names = str(body[start:], "utf-8").split("\n")
     n, edges = len(names), lengths[1]
-    if list(map(len, arrays)) != [n + 1, edges, n + 1, edges, n, n]:
+    if list(map(len, arrays)) != [n + 1, edges, n + 1, edges, n, n, n]:
         return None
     return OntologyGraph._from_arrays(prefix, names, arrays)
 
@@ -485,6 +508,9 @@ class OntologyCatalog:
     def lookup(self, prefix: str, term_id: str) -> DepthMetrics | None:
         """Metrics for ``term_id``, or None when the prefix or term is absent."""
         graph = self._graphs.get(prefix)
-        if graph is None or term_id not in graph:
+        if graph is None:
             return None
-        return graph.specificity(term_id)
+        try:
+            return graph.specificity(term_id)
+        except UnknownTermError:
+            return None

@@ -27,7 +27,7 @@ from annorate.ontology import (
 )
 
 from conftest import chain_obo, merge_obo, write_catalog
-from obo_oracle import oracle_load_obo
+from obo_oracle import OracleGraph, oracle_load_obo
 
 CHAIN = chain_obo(["T:1", "T:2", "T:3"])
 
@@ -94,8 +94,9 @@ def random_parents(rng, max_nodes=15):
 
 
 def obo_from_parents(parents):
+    """OBO content with one stanza per term, in the mapping's order."""
     stanzas = []
-    for term, ps in sorted(parents.items()):
+    for term, ps in parents.items():
         lines = ["[Term]", f"id: {term}"]
         lines.extend(f"is_a: {p}" for p in sorted(ps))
         stanzas.append("\n".join(lines))
@@ -492,6 +493,17 @@ def assert_same_catalog(catalog, expected):
         assert_same_graph(catalog.get(prefix), expected.get(prefix))
 
 
+def first_layout(entry, tag=b"annorate-graph-1"):
+    """``entry`` in the six-array layout of tag ``annorate-graph-1``, without ``_by_name``."""
+    head, _, body = entry.partition(b"\n")
+    _, order, itemsize, *lengths, _ = head.split()
+    array_lengths = [int(length) for length in lengths[:-1]]
+    arrays_end = sum(array_lengths) * int(itemsize)
+    six = body[: arrays_end - array_lengths[-1] * int(itemsize)] + body[arrays_end:]
+    digest = hashlib.sha256(six).hexdigest().encode()
+    return b" ".join([tag, order, itemsize, *lengths[:6], lengths[-1], digest]) + b"\n" + six
+
+
 def flip_bit(entry, position):
     return entry[:position] + bytes([entry[position] ^ 0x01]) + entry[position + 1 :]
 
@@ -572,9 +584,12 @@ class TestGraphCache:
             lambda entry: b"x" + entry[1:],
             lambda entry: b"",
             foreign_byte_order,
+            first_layout,
+            lambda entry: first_layout(entry, tag=ontology._ENTRY_TAG),
         ],
         ids=["truncated", "bit-flipped-id", "bit-flipped-array", "bit-flipped-length",
-             "wrong-magic", "empty", "foreign-byte-order"],
+             "wrong-magic", "empty", "foreign-byte-order", "layout-1",
+             "six-arrays-under-the-new-tag"],
     )
     def test_damaged_entry_is_a_miss_and_is_rewritten(self, damage, catalog_path, graph_cache):
         cold, _ = load_catalog(catalog_path)
@@ -657,7 +672,8 @@ class TestGraphCache:
 
         def race_then_replace(partial, entry):
             if not raced:  # another load finishes between this one's write and rename
-                raced.append(OntologyCatalog.from_file(catalog_path))
+                raced.append(None)  # set first, so that the other load renames unraced
+                raced[0] = OntologyCatalog.from_file(catalog_path)
             replace(partial, entry)
 
         with mock.patch.object(ontology.os, "replace", side_effect=race_then_replace):
@@ -667,3 +683,108 @@ class TestGraphCache:
         assert parsed == 0
         for catalog in (*raced, warm):
             assert_same_catalog(catalog, first)
+
+
+#: Ids that are not terms of ``SEARCHED``, by where they fall among its sorted ids.
+ABSENT_IDS = {
+    "before-the-first": "T:0",
+    "before-every-id": "",
+    "after-the-last": "T:\u00ff",
+    "other-prefix-after": "X:1",
+    "between-neighbours": "T:3",
+    "proper-prefix": "T:",
+    "prefix-of-the-prefix": "T",
+    "id-with-suffix": "T:40",
+    "id-with-a-space": "T:6 ",
+    "non-ascii": "T:4\u00e9",
+    "non-ascii-neighbour": "T:\u00e9",
+}
+
+#: Terms whose ids sort differently from their load order, one of them non-ASCII.
+SEARCHED = merge_obo(chain_obo(["T:6", "T:2", "T:\u00e8", "T:4"]), chain_obo(["T:10"]))
+
+
+class TestTermSearch:
+    """A term is found by bisection over the ids; an absent id is never a near one."""
+
+    @pytest.fixture(params=["cold", "warm"])
+    def searched(self, request, tmp_path):
+        """The graph of ``SEARCHED``, parsed or read back from its cache entry."""
+        catalog_path = write_catalog(tmp_path / "ontologies", {"T": SEARCHED})
+        catalog, parsed = load_catalog(catalog_path)
+        if request.param == "warm":
+            catalog, parsed = load_catalog(catalog_path)
+        assert parsed == (request.param == "cold")
+        return catalog
+
+    @pytest.mark.parametrize("term", ABSENT_IDS.values(), ids=ABSENT_IDS.keys())
+    def test_absent_id_behaves_as_in_the_oracle(self, term, searched):
+        graph, oracle = searched.get("T"), oracle_load_obo(SEARCHED, "T")
+        assert term not in oracle
+        assert term not in graph
+        for query in ("depth", "branch_length", "specificity", "parents", "children"):
+            for g in (oracle, graph):
+                with pytest.raises(UnknownTermError):
+                    getattr(g, query)(term)
+        assert searched.lookup("T", term) is None
+
+    def test_every_term_is_found(self, searched):
+        graph = searched.get("T")
+        assert_same_graph(graph, oracle_load_obo(SEARCHED, "T"))
+        assert all(term in graph for term in graph.terms)
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_ids_in_any_order_match_the_oracle(self, order, tmp_path, graph_cache):
+        rng = random.Random(f"order:{order}")
+        for attempt in range(12):
+            parents = random_parents(rng, max_nodes=40)
+            terms = list(parents)[::-1] if order == "reversed" else rng.sample(list(parents), len(parents))
+            mapping = {term: parents[term] for term in terms}
+            oracle = OracleGraph("T", mapping)
+            probes = [*terms, *(t + "0" for t in terms), *(t[:-1] for t in terms), "", "T:~"]
+            content = obo_from_parents(mapping)
+            catalog_path = write_catalog(tmp_path / str(attempt), {"T": content})
+            cold, _ = load_catalog(catalog_path)
+            warm, parsed = load_catalog(catalog_path)
+            assert parsed == 0
+            for graph in (OntologyGraph("T", mapping), cold.get("T"), warm.get("T")):
+                assert_same_graph(graph, oracle)
+                assert [t in graph for t in probes] == [t in oracle for t in probes]
+
+    def test_roots_after_a_warm_load_equal_the_oracle(self, tmp_path):
+        content = merge_obo(chain_obo(["T:9", "T:1"]), DIAMOND, chain_obo(["T:5"]))
+        catalog_path = write_catalog(tmp_path, {"T": content})
+        load_catalog(catalog_path)
+        warm, parsed = load_catalog(catalog_path)
+        assert parsed == 0
+        assert warm.get("T").roots == oracle_load_obo(content, "T").roots == {"T:9", "T:A", "T:5"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=4), min_size=1, max_size=12, unique=True), st.text(max_size=5))
+    def test_membership_equals_a_set_of_the_ids(self, ids, probe):
+        graph = OntologyGraph("T", dict.fromkeys(ids, ()))
+        assert (probe in graph) == (probe in set(ids))
+        assert all(term in graph for term in ids)
+
+    def test_lookup_searches_the_graph_once(self, tmp_path):
+        catalog = OntologyCatalog.from_file(write_catalog(tmp_path, {"T": CHAIN}))
+        with mock.patch.object(
+            OntologyGraph, "_find", autospec=True, side_effect=OntologyGraph._find
+        ) as find:
+            assert catalog.lookup("T", "T:3").score == 1.0
+            assert catalog.lookup("T", "T:404") is None
+        assert find.call_count == 2
+
+    def test_module_source_is_read_once_per_process(self, tmp_path):
+        catalog_path = write_catalog(tmp_path, {"T": CHAIN, "X": chain_obo(["X:1", "X:2"])})
+        source, read_bytes, reads = Path(ontology.__file__), Path.read_bytes, []
+
+        def counting_read(path):
+            reads.append(path == source)
+            return read_bytes(path)
+
+        ontology._source.cache_clear()
+        with mock.patch.object(Path, "read_bytes", counting_read):
+            for _ in range(2):
+                assert OntologyCatalog.from_file(catalog_path).prefixes == {"T", "X"}
+        assert sum(reads) == 1
