@@ -21,28 +21,29 @@ characters. Each chunk is cut just after its last ``"\\n"`` and split into
 lines on its own; no line break spans such a cut, so the lines are those
 of the whole file, and the file is never held in memory at once.
 
-A graph numbers its terms 0..n-1 in load order and keeps no per-term
+A graph numbers its terms 0..n-1 in id order and keeps no per-term
 Python container: parents and children are two CSR layouts (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., §3.4), each an
 ``array('i')`` of offsets plus an ``array('i')`` of term numbers, and depth
-and height are two more ``array('i')``. Beyond that it keeps the list of
-ids and one more ``array('i')`` of the term numbers in id order, so a term
-is found by bisection over its id, with no id-to-number dict. One Kahn pass
-over the numbers gives the topological order and the depths; one reverse
-walk of that order gives the heights.
+and height are two more ``array('i')``. Beyond that it keeps the sorted list
+of ids, whose positions are the term numbers, so a term is found by
+bisection over its id, with no id-to-number dict. One Kahn pass over the
+numbers gives the topological order and the depths; one reverse walk of
+that order gives the heights.
 
 :meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
 entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
 module's source. A later load of the same file reads the entry back as
 these arrays and the ids, with no parse; an entry is plain data, never
-unpickled, and a missing or damaged one only means a parse.
+unpickled, and a missing or damaged one, or one of an earlier layout, only
+means a parse.
 
-A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~3 s with a
-process peak of 101 MiB (98 MiB resident after the load) and warm in
-~0.1 s with 63 MiB (48 MiB after the load); a 1M-term one (87 MB) cold in
-11-14 s with 349 MiB (325 MiB after) and warm in ~0.37 s with 192 MiB
-(131 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
-Python 3.11).
+A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~3.2 s with a
+process peak of 100 MiB (96 MiB resident after the load) and warm in
+~0.1 s with 61 MiB (47 MiB after the load); a 1M-term one (87 MB) cold in
+~13 s with 349 MiB (318 MiB after) and warm in ~0.36 s with 184 MiB
+(127 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
+Python 3.11). The two cache entries take 10 MB and 42 MB.
 """
 
 from array import array
@@ -95,31 +96,32 @@ class OntologyGraph:
     """Immutable is-a DAG over the terms of one ontology prefix.
 
     ``parents`` maps every term to its parent terms, each of which must be a
-    key too (else ``OntologyError``); repeated parents count once. Terms are
-    numbered in the mapping's order. The graph keeps no reference to the
-    mapping: parents and children become CSR arrays, depth and height are
-    precomputed, and the term numbers are kept sorted by id, so a query is
+    key too; repeated parents count once. Otherwise ``OntologyError`` names
+    the first term in id order with an unknown parent. Terms are numbered in
+    id order, whatever the mapping's order. The graph keeps no reference to
+    the mapping: parents and children become CSR arrays, depth and height
+    are precomputed, and the sorted ids are the search index, so a query is
     one bisection (about log2 n string comparisons) plus array indexing.
     """
 
     def __init__(self, prefix: str, parents: Mapping[str, Collection[str]]):
         self.prefix = prefix
-        self._names = names = list(parents)
+        self._names = names = sorted(parents)
         index = dict(zip(names, range(len(names))))
         n = len(names)
+        ranked = list(map(parents.__getitem__, names))  # each term's parents, in id order
         # The parents of term t are up[up_start[t]:up_start[t + 1]]. A repeated
         # parent stays repeated: the passes below release its copies together,
         # and queries return sets.
-        degree = array("i", map(len, parents.values()))
+        degree = array("i", map(len, ranked))
         self._up_start = up_start = array("i", accumulate(degree, initial=0))
         try:
-            self._up = up = array("i", map(index.__getitem__, chain.from_iterable(parents.values())))
+            self._up = up = array("i", map(index.__getitem__, chain.from_iterable(ranked)))
         except KeyError as exc:
             missing = exc.args[0]
-            term = next(t for t, ps in parents.items() if missing in ps)
+            term = next(t for t, ps in zip(names, ranked) if missing in ps)
             raise OntologyError(f"{term}: parent {missing} is not a term of the graph") from None
-        del index  # only the edges need it; a query bisects the numbers sorted by id
-        self._by_name = array("i", sorted(range(n), key=names.__getitem__))
+        del index, ranked  # only the edges need them; a query bisects the sorted ids
         # The children of term t, ascending, are down[down_start[t]:down_start[t + 1]].
         count = array("i", [0]) * (n + 1)
         for p in up:
@@ -174,13 +176,12 @@ class OntologyGraph:
     def _find_cycle(self, stuck: set[int]) -> list[str]:
         # Every stuck node has a parent inside the stuck set; walking up
         # parent links must eventually revisit a node.
-        by_name = self._names.__getitem__
-        start = min(stuck, key=by_name)
+        start = min(stuck)  # numbers are in id order, so this is the least id
         seen: dict[int, int] = {}
         path = [start]
         while path[-1] not in seen:
             seen[path[-1]] = len(path) - 1
-            nxt = min((p for p in self._parent_ids(path[-1]) if p in stuck), key=by_name)
+            nxt = min(p for p in self._parent_ids(path[-1]) if p in stuck)
             path.append(nxt)
         return [self._names[t] for t in path[seen[path[-1]]:]]
 
@@ -234,12 +235,10 @@ class OntologyGraph:
         return i
 
     def _find(self, term: str) -> int:
-        """The number of ``term``, or -1 when it is not a term of the graph."""
-        by_name, names = self._by_name, self._names
-        at = bisect_left(by_name, term, key=names.__getitem__)
-        if at < len(by_name) and names[by_name[at]] == term:
-            return by_name[at]
-        return -1
+        """The number of ``term``, its position among the sorted ids, or -1 when it is absent."""
+        names = self._names
+        at = bisect_left(names, term)
+        return at if at < len(names) and names[at] == term else -1
 
 
 def load_obo(source: str | TextIO, prefix: str) -> OntologyGraph:
@@ -322,10 +321,10 @@ def _pieces(source: str | TextIO) -> Iterator[str]:
 
 
 #: The attributes of an :class:`OntologyGraph` that a cache entry stores, in entry order.
-_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height", "_by_name")
+_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height")
 
 #: First word of a cache entry and of its key; a new entry layout takes a new tag.
-_ENTRY_TAG = b"annorate-graph-2"
+_ENTRY_TAG = b"annorate-graph-3"
 
 
 def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
@@ -377,9 +376,9 @@ def _source() -> bytes:
     return Path(__file__).read_bytes()
 
 
-def _entry_head(lengths: list[int], digest: str) -> bytes:
-    """An entry's first line: tag, byte order, item size, the lengths, the body's SHA-256."""
-    fields = [sys.byteorder, array("i").itemsize, *lengths, digest]
+def _entry_head(counts: tuple[int, int, int], digest: str) -> bytes:
+    """An entry's first line: tag, byte order, item size, the counts, the body's SHA-256."""
+    fields = [sys.byteorder, array("i").itemsize, *counts, digest]
     return b" ".join([_ENTRY_TAG, *(str(field).encode("ascii") for field in fields)]) + b"\n"
 
 
@@ -399,7 +398,7 @@ def _write_entry(entry: Path, graph: OntologyGraph) -> None:
     digest = hashlib.sha256()
     for piece in body:
         digest.update(piece)
-    head = _entry_head([len(piece) for piece in body], digest.hexdigest())
+    head = _entry_head((len(graph), len(graph._up), len(ids)), digest.hexdigest())
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         fd, partial = tempfile.mkstemp(dir=entry.parent, prefix=f".{entry.name}.", suffix=".part")
@@ -424,28 +423,30 @@ def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
     except OSError:
         return None
     cut = data.find(b"\n") + 1
-    try:  # the head's fields: tag, byte order, item size, the lengths, the digest
-        lengths = [int(field) for field in data[:cut].split()[3:-1]]
+    try:  # the head's fields: tag, byte order, item size, terms, edges, id bytes, the digest
+        n, edges, id_bytes = counts = tuple(map(int, data[:cut].split()[3:-1]))
     except ValueError:
         return None
     body = memoryview(data)[cut:]
     itemsize = array("i").itemsize
+    lengths = [n + 1, edges, n + 1, edges, n, n]  # those of the _ARRAYS
+    if min(counts) < 0 or len(body) != sum(lengths) * itemsize + id_bytes:
+        return None  # the counts must fit the body before it is sliced
     # a foreign tag, byte order or item size fails here, and so does any damage to the body
-    head = _entry_head(lengths, hashlib.sha256(body).hexdigest())
-    if len(lengths) != len(_ARRAYS) + 1 or data[:cut] != head:
+    if data[:cut] != _entry_head(counts, hashlib.sha256(body).hexdigest()):
         return None
     arrays = []
     start = 0
-    for length in lengths[:-1]:
+    for length in lengths:
         values = array("i")
         values.frombytes(body[start : start + length * itemsize])
         arrays.append(values)
         start += length * itemsize
-    names = str(body[start:], "utf-8").split("\n")
-    n, edges = len(names), lengths[1]
-    if list(map(len, arrays)) != [n + 1, edges, n + 1, edges, n, n, n]:
+    try:
+        names = str(body[start:], "utf-8").split("\n")
+    except UnicodeDecodeError:
         return None
-    return OntologyGraph._from_arrays(prefix, names, arrays)
+    return OntologyGraph._from_arrays(prefix, names, arrays) if len(names) == n else None
 
 
 class OntologyCatalog:

@@ -380,6 +380,26 @@ class TestGraphConstruction:
         with pytest.raises(OntologyError, match="T:2: parent T:1 is not a term"):
             OntologyGraph("T", {"T:2": ["T:1"]})
 
+    def test_input_order_changes_nothing(self, tmp_path):
+        parents = random_parents(random.Random("input-order"), max_nodes=60)
+        graphs, entries = [], []
+        for name, mapping in [("forward", parents), ("reversed", dict(reversed(parents.items())))]:
+            catalog_path = write_catalog(tmp_path / name, {"T": obo_from_parents(mapping)})
+            graphs.append(load_catalog(catalog_path)[0].get("T"))
+            entries.append(ontology._cache_entry(catalog_path.parent / "t.obo", "T"))
+        assert entries[0].name != entries[1].name
+        assert entries[0].read_bytes() == entries[1].read_bytes()
+        forward, backward = graphs
+        assert forward.terms == backward.terms == set(parents)
+        for query in ("parents", "children", "depth", "branch_length"):
+            assert [getattr(forward, query)(t) for t in parents] == [
+                getattr(backward, query)(t) for t in parents
+            ]
+        unknown = {"T:2": ["T:0"], "T:1": ["T:9"], "T:3": []}
+        for keys in (list(unknown), list(unknown)[::-1]):
+            with pytest.raises(OntologyError, match="^T:1: parent T:9 is not a term"):
+                OntologyGraph("T", {key: unknown[key] for key in keys})
+
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_structure_matches_input_mapping(self, rnd):
@@ -493,15 +513,60 @@ def assert_same_catalog(catalog, expected):
         assert_same_graph(catalog.get(prefix), expected.get(prefix))
 
 
-def first_layout(entry, tag=b"annorate-graph-1"):
-    """``entry`` in the six-array layout of tag ``annorate-graph-1``, without ``_by_name``."""
+def split_entry(entry):
+    """An ``entry`` of the current layout as its head's fields, its six arrays and its ids."""
     head, _, body = entry.partition(b"\n")
-    _, order, itemsize, *lengths, _ = head.split()
-    array_lengths = [int(length) for length in lengths[:-1]]
-    arrays_end = sum(array_lengths) * int(itemsize)
-    six = body[: arrays_end - array_lengths[-1] * int(itemsize)] + body[arrays_end:]
-    digest = hashlib.sha256(six).hexdigest().encode()
-    return b" ".join([tag, order, itemsize, *lengths[:6], lengths[-1], digest]) + b"\n" + six
+    fields = head.split()
+    itemsize, n, edges = map(int, fields[2:5])
+    arrays, start = [], 0
+    for length in (n + 1, edges, n + 1, edges, n, n):
+        values = array("i")
+        values.frombytes(body[start : start + length * itemsize])
+        arrays.append(values)
+        start += length * itemsize
+    return fields, arrays, body[start:]
+
+
+def joined_entry(fields, arrays, ids):
+    """The entry of body ``arrays`` then ``ids``, behind head ``fields`` with a fresh digest last."""
+    body = b"".join(values.tobytes() for values in arrays) + ids
+    digest = hashlib.sha256(body).hexdigest().encode()
+    return b" ".join([*fields[:-1], digest]) + b"\n" + body
+
+
+def by_name(arrays):
+    """``arrays`` and a seventh, the term numbers in id order, which layout 2 stored."""
+    return [*arrays, array("i", range(len(arrays[-1])))]
+
+
+def earlier_layout(entry, tag, arrays_of=list):
+    """``entry`` as layouts 1 and 2 wrote it, one length per array in the head, but under ``tag``.
+
+    Layout 1 held the six arrays, in load order; layout 2 added ``by_name``.
+    The damaged catalog's terms load in id order, so both orders agree.
+    """
+    (_, order, itemsize, *_), arrays, ids = split_entry(entry)
+    arrays = arrays_of(arrays)
+    lengths = [str(len(values)).encode() for values in arrays]
+    return joined_entry([tag, order, itemsize, *lengths, str(len(ids)).encode(), b""], arrays, ids)
+
+
+def seven_arrays(entry):
+    """``entry`` with the ``by_name`` array of layout 2, behind a head of the current layout."""
+    fields, arrays, ids = split_entry(entry)
+    return joined_entry(fields, by_name(arrays), ids)
+
+
+def recounted(entry, terms=0, edges=0, id_bytes=0):
+    """``entry`` with the counts in its head moved by these amounts.
+
+    The body, and so the digest in the head, stay as they were.
+    """
+    head, _, body = entry.partition(b"\n")
+    fields = head.split()
+    for position, move in ((3, terms), (4, edges), (-2, id_bytes)):
+        fields[position] = str(int(fields[position]) + move).encode()
+    return b" ".join(fields) + b"\n" + body
 
 
 def flip_bit(entry, position):
@@ -510,19 +575,15 @@ def flip_bit(entry, position):
 
 def foreign_byte_order(entry):
     """``entry`` as a machine of the other byte order would have written it."""
-    head, _, body = entry.partition(b"\n")
-    tag, order, itemsize, *lengths, _ = head.split()
-    pieces, start = [], 0
-    for length in map(int, lengths[:-1]):
-        values = array("i")
-        values.frombytes(body[start : start + length * int(itemsize)])
+    fields, arrays, ids = split_entry(entry)
+    for values in arrays:
         values.byteswap()
-        pieces.append(values.tobytes())
-        start += length * int(itemsize)
-    swapped = b"".join(pieces) + body[start:]
-    other = {b"little": b"big", b"big": b"little"}[order]
-    digest = hashlib.sha256(swapped).hexdigest().encode()
-    return b" ".join([tag, other, itemsize, *lengths, digest]) + b"\n" + swapped
+    fields[1] = {b"little": b"big", b"big": b"little"}[fields[1]]
+    return joined_entry(fields, arrays, ids)
+
+
+#: Enough terms that the arrays of their entry hold bytes that are not UTF-8 (0x80 and up).
+LONG_CHAIN = chain_obo([f"T:c{i:03d}" for i in range(300)])
 
 
 class TestGraphCache:
@@ -580,18 +641,27 @@ class TestGraphCache:
             lambda entry: entry[: len(entry) // 2],
             lambda entry: flip_bit(entry, len(entry) - 3),
             lambda entry: flip_bit(entry, entry.index(b"\n") + 5),
-            lambda entry: flip_bit(entry, entry.index(b"\n") - 70),
+            lambda entry: flip_bit(entry, entry.index(b"\n") - 66),
             lambda entry: b"x" + entry[1:],
             lambda entry: b"",
             foreign_byte_order,
-            first_layout,
-            lambda entry: first_layout(entry, tag=ontology._ENTRY_TAG),
+            lambda entry: earlier_layout(entry, b"annorate-graph-1"),
+            lambda entry: earlier_layout(entry, b"annorate-graph-2", by_name),
+            lambda entry: earlier_layout(entry, ontology._ENTRY_TAG),
+            seven_arrays,
+            lambda entry: recounted(entry, terms=10**6),
+            # the id byte count moves by the bytes the arrays lose or gain, so the size fits
+            lambda entry: recounted(entry, terms=-300, id_bytes=4 * 300 * array("i").itemsize),
+            lambda entry: recounted(entry, terms=-1, id_bytes=4 * array("i").itemsize),
+            lambda entry: recounted(entry, edges=300, id_bytes=-2 * 300 * array("i").itemsize),
         ],
         ids=["truncated", "bit-flipped-id", "bit-flipped-array", "bit-flipped-length",
-             "wrong-magic", "empty", "foreign-byte-order", "layout-1",
-             "six-arrays-under-the-new-tag"],
+             "wrong-magic", "empty", "foreign-byte-order", "layout-1", "layout-2",
+             "six-arrays-under-the-new-tag", "seven-arrays-under-the-new-tag", "counts-beyond-the-body", "arrays-read-as-bad-utf-8",
+             "arrays-read-as-ids", "negative-id-byte-count"],
     )
-    def test_damaged_entry_is_a_miss_and_is_rewritten(self, damage, catalog_path, graph_cache):
+    def test_damaged_entry_is_a_miss_and_is_rewritten(self, damage, tmp_path, graph_cache):
+        catalog_path = write_catalog(tmp_path, {"T": merge_obo(CHAIN, DIAMOND, LONG_CHAIN)})
         cold, _ = load_catalog(catalog_path)
         (name,) = cache_entries(graph_cache)
         entry = graph_cache / name
