@@ -15,6 +15,10 @@ codes are script-friendly, and each failure prints one line to stderr:
   a scores.tsv whose line 1 is not its header, or a bad score row or
   record given to stats;
 * 73 an output that cannot be written.
+
+Each output is written beside its target and renamed into place by
+:func:`annorate._files.replace_file`, so a failed or killed run leaves the
+previous file whole, never a truncated one.
 """
 
 import argparse
@@ -25,10 +29,12 @@ import os
 import reprlib
 import sys
 from collections.abc import Iterable
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from ._files import replace_file
 from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata
 from .ontology import OntologyCatalog
@@ -196,6 +202,8 @@ def cmd_score(args) -> int:
     scored.sort(key=lambda pair: (-pair[1].log_terms, pair[1].study_id))
 
     args.out.mkdir(parents=True, exist_ok=True)
+    # the large scores.json first: when its write fails, stats still finds the previous pair
+    _write_scores_json(args.out / "scores.json", scored, resolver)
     _write_tsv(
         args.out / "scores.tsv",
         SCORES_TSV_COLUMNS,
@@ -205,7 +213,6 @@ def cmd_score(args) -> int:
             for _, s in scored
         ),
     )
-    _write_scores_json(args.out / "scores.json", scored, resolver)
     print(f"scored {len(scored)} studies into {args.out}")
     return EXIT_OK
 
@@ -330,10 +337,9 @@ def _fmt(value) -> str:
 
 
 def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
-    """Write ``header`` and then each row as tab-joined UTF-8 lines ending in ``\\n``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("\t".join(header) + "\n")
-        out.writelines("\t".join(row) + "\n" for row in rows)
+    """Replace ``path`` with ``header`` and then each row, as tab-joined lines ending in ``\\n``."""
+    lines = ("\t".join(row) + "\n" for row in chain([header], rows))
+    replace_file(path, lines, "w", encoding="utf-8", newline="\n")
 
 
 #: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".
@@ -390,18 +396,21 @@ def _score_record(study, score: EntryScore, encode_annotation) -> dict:
 
 
 def _write_json_list(path: Path, records) -> None:
-    """Write ``json.dump(list(records), out, indent=2)`` and a newline, record by record.
+    """Replace ``path`` with ``json.dump(list(records), out, indent=2)`` and a newline.
 
     Both reports go through here. Each record is encoded by
     :func:`_json_indented` and written before the next is asked for, so the
     whole document never sits in memory.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+
+    def text():
         opening = "[\n  "
         for record in records:
-            out.write(opening + _json_indented(record, "  "))
+            yield opening + _json_indented(record, "  ")
             opening = ",\n  "
-        out.write("[]\n" if opening == "[\n  " else "\n]\n")
+        yield "[]\n" if opening == "[\n  " else "\n]\n"
+
+    replace_file(path, text(), "w", encoding="utf-8", newline="\n")
 
 
 def _json_indented(value, indent: str = "") -> str:

@@ -12,8 +12,12 @@ long before each later retry; any other 4xx, a final 3xx that ``urllib`` does
 not follow, and a URL that is not http(s) or that it cannot send fail at once.
 Downloads wait up to ``FETCH_TIMEOUT_S`` seconds, probes ``PROBE_TIMEOUT_S``.
 Downloads run through a bounded worker pool, and one failing study never
-aborts the batch. The manifest is an append-only TSV (``study_id path url
-fetched_at sha256 status``) written next to the downloaded files.
+aborts the batch. Each download is written beside its target and renamed
+into place by :func:`annorate._files.replace_file`, so an interrupted fetch
+never leaves a truncated file that a later run would trust as cached. The
+manifest is an append-only TSV (``study_id path url fetched_at sha256
+status``) written next to the downloaded files, the one file here that is
+appended to rather than replaced.
 """
 
 import errno
@@ -25,13 +29,13 @@ import re
 import time
 import urllib.error
 import urllib.request
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from ._files import replace_file
 from .accession import AccessionRef, Resolution
 
 log = logging.getLogger(__name__)
@@ -163,7 +167,7 @@ def fetch_corpus(
         try:
             if cache and target.exists():
                 data, status = target.read_bytes(), STATUS_CACHED
-            elif target.is_dir():  # os.replace could not put a download in its place
+            elif target.is_dir():  # a download could not be renamed into its place
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             else:
                 data, status = _get_with_retries(url, FETCH_TIMEOUT_S), STATUS_OK
@@ -172,7 +176,7 @@ def fetch_corpus(
             log.warning("fetch failed for %s: %s", study_id, exc)
             return ManifestEntry(study_id, "", url, stamp, "", STATUS_FAILED)
         if status == STATUS_OK:
-            _write_atomic(target, data)
+            replace_file(target, [data])
         path = str(target.relative_to(dest))
         return ManifestEntry(study_id, path, url, stamp, _sha256(data), status)
 
@@ -225,21 +229,6 @@ def _get_with_retries(url: str, timeout: float) -> bytes:
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
     raise NetworkError(f"request to {url} failed: {last_error}")
-
-
-def _write_atomic(target: Path, data: bytes) -> None:
-    """Write to a temporary file beside ``target``, then rename it into place.
-
-    An interrupted write leaves no ``target`` behind that a later cached run
-    would trust. The temporary name starts with a dot, so corpus loading
-    never picks it up.
-    """
-    partial = target.with_name(f".{target.name}.{uuid.uuid4().hex}.part")
-    try:
-        partial.write_bytes(data)
-        os.replace(partial, target)
-    finally:
-        partial.unlink(missing_ok=True)
 
 
 def _sha256(data: bytes) -> str:

@@ -36,7 +36,9 @@ entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
 module's source. A later load of the same file reads the entry back as
 these arrays and the ids, with no parse; an entry is plain data, never
 unpickled, and a missing or damaged one, or one of an earlier layout, only
-means a parse.
+means a parse. An entry is written beside its path and renamed into place
+by :func:`annorate._files.replace_file`, so a reader finds a whole entry
+or none.
 
 A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~3.2 s with a
 process peak of 100 MiB (96 MiB resident after the load) and warm in
@@ -385,13 +387,14 @@ def _entry_head(counts: tuple[int, int, int], digest: str) -> bytes:
 def _write_entry(entry: Path, graph: OntologyGraph) -> None:
     """Store ``graph`` at ``entry``: its head line, the ``_ARRAYS``, then its ids joined by ``\\n``.
 
-    The entry is written to a temporary file beside it and renamed into
-    place, so a reader never sees a partial one and racing writers leave one
-    whole entry. Nothing in it is pickled: it is read back as plain arrays
-    and text. An ``OSError`` leaves the cache as it was.
+    The entry is written beside it and renamed into place, so a reader
+    never sees a partial one and racing writers leave one whole entry.
+    Nothing in it is pickled: it is read back as plain arrays and text. An
+    ``OSError`` leaves the cache as it was.
     """
     import hashlib
-    import tempfile
+
+    from ._files import replace_file  # here, so that loading this module loads no other
 
     ids = "\n".join(graph._names).encode("utf-8")  # an id never holds a line break
     body = [*(getattr(graph, name) for name in _ARRAYS), ids]
@@ -401,15 +404,7 @@ def _write_entry(entry: Path, graph: OntologyGraph) -> None:
     head = _entry_head((len(graph), len(graph._up), len(ids)), digest.hexdigest())
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, partial = tempfile.mkstemp(dir=entry.parent, prefix=f".{entry.name}.", suffix=".part")
-        try:
-            with open(fd, "wb") as out:
-                out.write(head)
-                for piece in body:
-                    out.write(piece)
-            os.replace(partial, entry)
-        finally:
-            Path(partial).unlink(missing_ok=True)
+        replace_file(entry, [head, *body])
     except OSError:
         pass
 
@@ -453,12 +448,14 @@ class OntologyCatalog:
     """Read-only map from ontology prefix to a loaded :class:`OntologyGraph`.
 
     Built from a TSV file of ``prefix<TAB>obo-path`` lines (relative paths
-    resolve against the catalog file's directory). A prefix listed again is
-    skipped with a warning, its file unread: the first line wins. Entries
-    whose OBO file is missing, not UTF-8 or otherwise unloadable are skipped
-    with a warning: an incomplete catalog degrades lookups to ``None``, it
-    never crashes scoring. The catalog file itself must be readable UTF-8
-    text; otherwise ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
+    resolve against the catalog file's directory). A line without a prefix
+    or a path, or whose path holds a NUL character, is skipped with a
+    warning as malformed. A prefix listed again is skipped with a warning,
+    its file unread: the first line wins. Entries whose OBO file is missing,
+    not UTF-8 or otherwise unloadable are skipped with a warning: an
+    incomplete catalog degrades lookups to ``None``, it never crashes
+    scoring. The catalog file itself must be readable UTF-8 text; otherwise
+    ``from_file`` raises ``OSError`` or ``UnicodeDecodeError``.
     A byte order mark opening the catalog or an OBO file is dropped. A
     graph is read from the graph cache when it holds an entry for the OBO
     file's exact bytes, and parsed and stored there otherwise.
@@ -481,7 +478,7 @@ class OntologyCatalog:
             prefix, _, obo_ref = line.partition("\t")
             prefix = prefix.strip()
             obo_path = Path(obo_ref.strip())
-            if not prefix or not obo_ref.strip():
+            if not prefix or not obo_ref.strip() or "\0" in obo_ref:  # no path holds a NUL
                 log.warning("%s:%d: skipping malformed catalog line", catalog_path, lineno)
                 continue
             if prefix in first_lines:

@@ -2,6 +2,7 @@
 
 import argparse
 import codecs
+import errno
 import json
 import os
 import subprocess
@@ -843,6 +844,55 @@ class TestReporting:
         assert run_cli([command, *inputs[command], "--out", str(out)]) == cli.EXIT_CANT_CREATE
         assert capsys.readouterr() == ("", f"cannot write {out / output}: Is a directory\n")
 
+    def test_failed_report_write_keeps_the_previous_report(
+        self, mtbls95_corpus, mtbls95_catalog, tmp_path, monkeypatch, capsys
+    ):
+        write_study(mtbls95_corpus, "MTBLS0", investigation_text(study_id="MTBLS0"))
+        out = tmp_path / "out"
+        out.mkdir()
+        previous = {"scores.json": b'["a previous run"]\n', "scores.tsv": b"a previous run\n"}
+        for name, content in previous.items():
+            (out / name).write_bytes(content)
+        encode, records = cli._json_indented, []
+
+        def full_disk_at_the_second_record(value, indent=""):
+            if indent == "  ":  # a record of the list, not a value nested in one
+                records.append(value)
+                if len(records) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return encode(value, indent)
+
+        monkeypatch.setattr(cli, "_json_indented", full_disk_at_the_second_record)
+        code = run_cli(["score", "--corpus", str(mtbls95_corpus),
+                        "--catalog", str(mtbls95_catalog), "--out", str(out)])
+        assert code == cli.EXIT_CANT_CREATE
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'scores.json'}: No space left on device\n"
+        )
+        assert len(records) == 2
+        # both reports are the previous ones, so stats never pairs one run's rows with another's
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+
+    def test_failed_download_write_names_its_target(
+        self, stub_server, tmp_path, monkeypatch, capsys
+    ):
+        server = stub_server({"/MTBLS95/i_Investigation.txt": (200, mtbls95_investigation())})
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("MTBLS95\n", encoding="utf-8")
+
+        def full_disk(source, target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), source, None, target)
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        out = tmp_path / "corpus"
+        code = run_cli(["fetch", "--ids", str(ids_file), "--base-url", server.base_url,
+                        "--out", str(out)])
+        assert code == cli.EXIT_CANT_CREATE
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'MTBLS95' / 'i_Investigation.txt'}: No space left on device\n"
+        )
+        assert list((out / "MTBLS95").iterdir()) == []
+
 
 class TestCatalogInput:
     def test_non_utf8_obo_file_degrades_its_prefix(
@@ -873,6 +923,27 @@ class TestCatalogInput:
             "Design: http://purl.obolibrary.org/obo/GO_0030257",
             "Design: http://purl.obolibrary.org/obo/GO_0045208",
         }
+
+    @pytest.mark.parametrize("cache", ["usable", "a-file"])
+    @pytest.mark.parametrize("command", ["score", "audit"])
+    def test_obo_path_with_a_nul_is_a_malformed_line(
+        self, command, cache, mtbls95_corpus, mtbls95_catalog, tmp_path, monkeypatch, caplog
+    ):
+        if cache == "a-file":
+            blocker = tmp_path / "not-a-directory"
+            blocker.write_text("", encoding="utf-8")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        output = {"score": "scores.tsv", "audit": "audit.json"}[command]
+        argv = [command, "--corpus", str(mtbls95_corpus), "--catalog", str(mtbls95_catalog)]
+        assert run_cli([*argv, "--out", str(tmp_path / "clean")]) == cli.EXIT_OK
+        lines = mtbls95_catalog.read_text(encoding="utf-8").splitlines()
+        mtbls95_catalog.write_text("\n".join([*lines, "ZZ\tzz\0.obo"]) + "\n", encoding="utf-8")
+        caplog.clear()
+        assert run_cli([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [f"{mtbls95_catalog}:{len(lines) + 1}: skipping malformed catalog line"]
+        # every other prefix still resolves: the report is that of the catalog without the line
+        assert (tmp_path / "out" / output).read_bytes() == (tmp_path / "clean" / output).read_bytes()
 
     @pytest.mark.parametrize("command", ["score", "audit"])
     def test_missing_catalog_exits_without_outputs(

@@ -11,6 +11,7 @@ import pytest
 
 import annorate
 from annorate import ingest
+from annorate._files import replace_file
 from annorate.accession import Resolution, classify_accession
 from annorate.ingest import (
     MANIFEST_COLUMNS,
@@ -148,12 +149,18 @@ class TestFetchCorpus:
         server = stub_server({"/MTBLS1/i_Investigation.txt": (200, body)})
         dest = tmp_path / "c"
 
-        def write_half_then_fail(path, data):
-            with open(path, "wb") as f:
-                f.write(data[: len(data) // 2])
-            raise OSError("disk full")
+        def write_half_then_fail(path, chunks, *args, **kwargs):
+            data = b"".join(chunks)
 
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+            def half_then_fail():
+                yield data[: len(data) // 2]
+                (partial,) = path.parent.iterdir()  # the write is under way beside the target
+                assert re.fullmatch(r"\.i_Investigation\.txt\.[0-9a-f]{16}\.part", partial.name)
+                raise OSError("disk full")
+
+            replace_file(path, half_then_fail(), *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "replace_file", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             fetch_corpus(["MTBLS1"], dest, base_url=server.base_url)
         monkeypatch.undo()

@@ -1,6 +1,7 @@
 """Ontology loading and depth/branch/specificity metrics."""
 
 import codecs
+import errno
 import hashlib
 import io
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annorate import ontology
+from annorate import _files, ontology
 from annorate.ontology import (
     CycleDetectedError,
     EmptyOntologyError,
@@ -685,6 +686,29 @@ class TestGraphCache:
             assert_same_graph(catalog.get("T"), load_obo(merge_obo(CHAIN, DIAMOND), "T"))
         assert caplog.records == []
         assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_store_failing_mid_write_still_loads_without_a_warning(
+        self, catalog_path, graph_cache, caplog
+    ):
+        replace_file, written = _files.replace_file, []
+
+        def full_disk_after_the_head(path, chunks, *args, **kwargs):
+            def head_then_fail():
+                yield next(iter(chunks))
+                written.extend(graph_cache.iterdir())  # the partial entry, beside its target
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            replace_file(path, head_then_fail(), *args, **kwargs)
+
+        with mock.patch.object(_files, "replace_file", full_disk_after_the_head):
+            catalog, parsed = load_catalog(catalog_path)
+        assert parsed == 1
+        assert_same_graph(catalog.get("T"), load_obo(merge_obo(CHAIN, DIAMOND), "T"))
+        assert caplog.records == []
+        assert len(written) == 1 and written[0].name.endswith(".part")
+        assert cache_entries(graph_cache) == []
+        assert load_catalog(catalog_path)[1] == 1
+        assert load_catalog(catalog_path)[1] == 0
 
     def test_relative_cache_home_is_ignored(self, catalog_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
