@@ -23,11 +23,10 @@ for term in sorted(graph.terms):
 
 print()
 print("walking down the longest branch, scores rise monotonically:")
-term = sorted(graph.roots)[0]
-path = [term]
-while graph.children(term):
-    term = max(graph.children(term), key=lambda c: graph.branch_length(c))
-    path.append(term)
+# The terms on a longest branch are those whose branch length is the longest;
+# each scores depth / longest, so in order of depth the scores rise.
+longest = max(graph.branch_length(t) for t in graph.terms)
+path = sorted((t for t in graph.terms if graph.branch_length(t) == longest), key=graph.depth)
 print("  " + "  ->  ".join(f"{t} ({graph.specificity(t).score:.2f})" for t in path))
 
 # A single isolated term is both root and leaf; it is defined to score 1,

@@ -17,8 +17,9 @@ codes are script-friendly, and each failure prints one line to stderr:
 * 73 an output that cannot be written.
 
 Each output is written beside its target and renamed into place by
-:func:`annorate._files.replace_file`, so a failed or killed run leaves the
-previous file whole, never a truncated one.
+:func:`annorate._files.replacing`, so a failed or killed run leaves the
+previous file whole, never a truncated one. ``score`` renames neither of
+its two reports until both are written.
 """
 
 import argparse
@@ -32,9 +33,10 @@ from collections.abc import Iterable
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 from . import corpus as corpus_mod
-from ._files import replace_file
+from ._files import replacing
 from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata
 from .ontology import OntologyCatalog
@@ -202,17 +204,20 @@ def cmd_score(args) -> int:
     scored.sort(key=lambda pair: (-pair[1].log_terms, pair[1].study_id))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    # the large scores.json first: when its write fails, stats still finds the previous pair
-    _write_scores_json(args.out / "scores.json", scored, resolver)
-    _write_tsv(
-        args.out / "scores.tsv",
-        SCORES_TSV_COLUMNS,
-        (
-            (s.study_id, str(s.total_annotations), _fmt(s.global_terms), _fmt(s.log_terms),
-             _fmt(s.global_annotations), _fmt(s.log_annotations))
-            for _, s in scored
-        ),
-    )
+    # neither report replaces the previous one until both are written, so when
+    # either write fails, stats still finds the previous pair
+    with _report(args.out / "scores.json") as json_out:
+        _write_scores_json(json_out, scored, resolver)
+        with _report(args.out / "scores.tsv") as tsv_out:
+            _write_tsv(
+                tsv_out,
+                SCORES_TSV_COLUMNS,
+                (
+                    (s.study_id, str(s.total_annotations), _fmt(s.global_terms),
+                     _fmt(s.log_terms), _fmt(s.global_annotations), _fmt(s.log_annotations))
+                    for _, s in scored
+                ),
+            )
     print(f"scored {len(scored)} studies into {args.out}")
     return EXIT_OK
 
@@ -243,38 +248,28 @@ def cmd_stats(args) -> int:
 
     columns = ("log_terms", "log_annotations")
     stats = [corpus_mod.corpus_stats(entries, c) for c in columns]
-    _write_tsv(
-        args.out / "stats.tsv",
-        ("statistic", *columns),
-        (
-            (name, *(_fmt(getattr(s, name)) for s in stats))
-            for name in ("mean", "std_dev", "max", "min_annotated", "pct_above_mean")
-        ),
-    )
-
     dist = corpus_mod.distribution(entries, args.score_column)
-    _write_tsv(
-        args.out / "hist.tsv",
-        ("bin_low", "count"),
-        ((str(lo), str(count)) for lo, count in dist.histogram),
-    )
-    boxes = dist.per_type_boxplot
-    _write_tsv(
-        args.out / "boxplot.tsv",
-        ("type", "min", "q1", "median", "q3", "max"),
-        (
-            (t.value, *map(_fmt, (b.minimum, b.q1, b.median, b.q3, b.maximum)))
-            for t in SCORED_TYPES
-            if (b := boxes.get(t)) is not None
+    boxes, gaps = dist.per_type_boxplot, dist.avg_weighting_gap
+    tables = {  # each report's header and rows
+        "stats.tsv": (
+            ("statistic", *columns),
+            ((name, *(_fmt(getattr(s, name)) for s in stats))
+             for name in ("mean", "std_dev", "max", "min_annotated", "pct_above_mean")),
         ),
-    )
-    gaps = dist.avg_weighting_gap
-    _write_tsv(
-        args.out / "gaps.tsv",
-        ("type", "avg_gap_pct"),
-        ((t.value, _fmt(gaps[t])) for t in SCORED_TYPES if gaps.get(t) is not None),
-    )
-
+        "hist.tsv": (("bin_low", "count"), ((str(lo), str(n)) for lo, n in dist.histogram)),
+        "boxplot.tsv": (
+            ("type", "min", "q1", "median", "q3", "max"),
+            ((t.value, *map(_fmt, (b.minimum, b.q1, b.median, b.q3, b.maximum)))
+             for t in SCORED_TYPES if (b := boxes.get(t)) is not None),
+        ),
+        "gaps.tsv": (
+            ("type", "avg_gap_pct"),
+            ((t.value, _fmt(gaps[t])) for t in SCORED_TYPES if gaps.get(t) is not None),
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        with _report(args.out / name) as out:
+            _write_tsv(out, header, rows)
     print(f"wrote stats for {len(entries)} entries into {args.out}")
     return EXIT_OK
 
@@ -290,10 +285,12 @@ def cmd_audit(args) -> int:
     findings.extend(audit_corpus(studies, near_dup_threshold=args.near_dup_threshold))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_json_list(
-        args.out / "audit.json",
-        ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence} for f in findings),
-    )
+    with _report(args.out / "audit.json") as out:
+        _write_json_list(
+            out,
+            ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
+             for f in findings),
+        )
     print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
@@ -336,10 +333,14 @@ def _fmt(value) -> str:
     return f"{value:.7f}"
 
 
-def _write_tsv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
-    """Replace ``path`` with ``header`` and then each row, as tab-joined lines ending in ``\\n``."""
-    lines = ("\t".join(row) + "\n" for row in chain([header], rows))
-    replace_file(path, lines, "w", encoding="utf-8", newline="\n")
+def _report(path: Path):
+    """A report file for a ``with`` block, written beside ``path`` and renamed onto it at the end."""
+    return replacing(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_tsv(out: TextIO, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write ``header`` and then each row to ``out``, as tab-joined lines ending in ``\\n``."""
+    out.writelines("\t".join(row) + "\n" for row in chain([header], rows))
 
 
 #: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".
@@ -352,8 +353,8 @@ class _Encoded(str):
     """A scores.json annotation record laid out for its place; ``_json_indented`` copies it."""
 
 
-def _write_scores_json(path: Path, scored, resolver) -> None:
-    """Write the records of ``scored`` as ``json.dumps(records, indent=2)`` would.
+def _write_scores_json(out: TextIO, scored, resolver) -> None:
+    """Write the records of ``scored`` to ``out`` as ``json.dumps(records, indent=2)`` would.
 
     An annotation record is its ``label`` followed by the fields that
     :func:`annotation_fields` derives from its accession URL alone. Those
@@ -371,7 +372,7 @@ def _write_scores_json(path: Path, scored, resolver) -> None:
         return _Encoded(_LABEL_OPENING + encode_basestring_ascii(slot.label) + "," + fields)
 
     _write_json_list(
-        path, (_score_record(study, score, encode_annotation) for study, score in scored)
+        out, (_score_record(study, score, encode_annotation) for study, score in scored)
     )
 
 
@@ -395,22 +396,18 @@ def _score_record(study, score: EntryScore, encode_annotation) -> dict:
     }
 
 
-def _write_json_list(path: Path, records) -> None:
-    """Replace ``path`` with ``json.dump(list(records), out, indent=2)`` and a newline.
+def _write_json_list(out: TextIO, records) -> None:
+    """Write ``json.dump(list(records), out, indent=2)`` and a newline to ``out``.
 
     Both reports go through here. Each record is encoded by
     :func:`_json_indented` and written before the next is asked for, so the
     whole document never sits in memory.
     """
-
-    def text():
-        opening = "[\n  "
-        for record in records:
-            yield opening + _json_indented(record, "  ")
-            opening = ",\n  "
-        yield "[]\n" if opening == "[\n  " else "\n]\n"
-
-    replace_file(path, text(), "w", encoding="utf-8", newline="\n")
+    opening = "[\n  "
+    for record in records:
+        out.write(opening + _json_indented(record, "  "))
+        opening = ",\n  "
+    out.write("[]\n" if opening == "[\n  " else "\n]\n")
 
 
 def _json_indented(value, indent: str = "") -> str:

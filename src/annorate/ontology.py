@@ -22,30 +22,31 @@ lines on its own; no line break spans such a cut, so the lines are those
 of the whole file, and the file is never held in memory at once.
 
 A graph numbers its terms 0..n-1 in id order and keeps no per-term
-Python container: parents and children are two CSR layouts (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2nd ed., §3.4), each an
-``array('i')`` of offsets plus an ``array('i')`` of term numbers, and depth
-and height are two more ``array('i')``. Beyond that it keeps the sorted list
-of ids, whose positions are the term numbers, so a term is found by
-bisection over its id, with no id-to-number dict. One Kahn pass over the
-numbers gives the topological order and the depths; one reverse walk of
-that order gives the heights.
+Python container, and nothing that specificity does not read: depth and
+height as two ``array('i')``, and the sorted list of ids, whose positions
+are the term numbers, so a term is found by bisection over its id, with no
+id-to-number dict. While a graph is built, parents and children are two
+CSR layouts (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+§3.4), each an ``array('i')`` of offsets plus an ``array('i')`` of term
+numbers. One Kahn pass over them gives the topological order and the
+depths; one reverse walk of that order gives the heights; then the edges
+are dropped.
 
 :meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
 entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
 module's source. A later load of the same file reads the entry back as
-these arrays and the ids, with no parse; an entry is plain data, never
+the two arrays and the ids, with no parse; an entry is plain data, never
 unpickled, and a missing or damaged one, or one of an earlier layout, only
 means a parse. An entry is written beside its path and renamed into place
 by :func:`annorate._files.replace_file`, so a reader finds a whole entry
 or none.
 
-A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~3.2 s with a
-process peak of 100 MiB (96 MiB resident after the load) and warm in
-~0.1 s with 61 MiB (47 MiB after the load); a 1M-term one (87 MB) cold in
-~13 s with 349 MiB (318 MiB after) and warm in ~0.36 s with 184 MiB
-(127 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
-Python 3.11). The two cache entries take 10 MB and 42 MB.
+A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~1.8 s with a
+process peak of 101 MiB (92 MiB resident after the load) and warm in
+~0.07 s with 53 MiB (43 MiB after the load); a 1M-term one (87 MB) cold in
+~9 s with 349 MiB (284 MiB after) and warm in ~0.21 s with 153 MiB
+(112 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
+Python 3.11). The two cache entries take 6.2 MB and 25.7 MB.
 """
 
 from array import array
@@ -100,10 +101,11 @@ class OntologyGraph:
     ``parents`` maps every term to its parent terms, each of which must be a
     key too; repeated parents count once. Otherwise ``OntologyError`` names
     the first term in id order with an unknown parent. Terms are numbered in
-    id order, whatever the mapping's order. The graph keeps no reference to
-    the mapping: parents and children become CSR arrays, depth and height
-    are precomputed, and the sorted ids are the search index, so a query is
-    one bisection (about log2 n string comparisons) plus array indexing.
+    id order, whatever the mapping's order. The graph keeps what specificity
+    reads and nothing else: each term's depth and height, precomputed, and
+    the sorted ids, which are the search index. The edges serve only to
+    compute those and are dropped, so a query is one bisection (about
+    log2 n string comparisons) plus array indexing.
     """
 
     def __init__(self, prefix: str, parents: Mapping[str, Collection[str]]):
@@ -113,12 +115,11 @@ class OntologyGraph:
         n = len(names)
         ranked = list(map(parents.__getitem__, names))  # each term's parents, in id order
         # The parents of term t are up[up_start[t]:up_start[t + 1]]. A repeated
-        # parent stays repeated: the passes below release its copies together,
-        # and queries return sets.
+        # parent stays repeated: the passes below release its copies together.
         degree = array("i", map(len, ranked))
-        self._up_start = up_start = array("i", accumulate(degree, initial=0))
+        up_start = array("i", accumulate(degree, initial=0))
         try:
-            self._up = up = array("i", map(index.__getitem__, chain.from_iterable(ranked)))
+            up = array("i", map(index.__getitem__, chain.from_iterable(ranked)))
         except KeyError as exc:
             missing = exc.args[0]
             term = next(t for t, ps in zip(names, ranked) if missing in ps)
@@ -128,15 +129,19 @@ class OntologyGraph:
         count = array("i", [0]) * (n + 1)
         for p in up:
             count[p + 1] += 1
-        self._down_start = array("i", accumulate(count))
-        self._down = down = array("i", [0]) * len(up)
-        free = self._down_start[:-1]  # each term's next unfilled child slot
+        down_start = array("i", accumulate(count))
+        down = array("i", [0]) * len(up)
+        free = down_start[:-1]  # each term's next unfilled child slot
         for term, p in zip(chain.from_iterable(map(repeat, range(n), degree)), up):
             down[free[p]] = term
             free[p] += 1
         # Lists index faster than arrays; these working ones, of small counts
-        # and depths, are dropped once the passes are done.
-        order, self._depth = self._topological_order(list(degree))
+        # and depths, are dropped once the passes are done, and so are the edges.
+        order, self._depth = self._topological_order(down_start, down, list(degree))
+        if len(order) < n:
+            done = set(order)
+            stuck = {t for t in range(n) if t not in done}
+            raise CycleDetectedError(self._find_cycle(up_start, up, stuck))
         height = [0] * n
         for term in reversed(order):
             h = height[term] + 1
@@ -149,16 +154,20 @@ class OntologyGraph:
     def _from_arrays(cls, prefix: str, names: list[str], arrays: list[array]) -> "OntologyGraph":
         """The graph whose ``_ARRAYS`` are ``arrays``, taken as a built graph left them."""
         graph = cls.__new__(cls)
-        graph.prefix = prefix
-        graph._names = names
+        graph.prefix, graph._names = prefix, names
         for name, values in zip(_ARRAYS, arrays):
             setattr(graph, name, values)
         return graph
 
-    def _topological_order(self, remaining: list[int]) -> tuple[array, array]:
-        """Kahn's pass over term numbers, given their parent counts; also returns each depth."""
-        down, down_start = self._down, self._down_start
-        n = len(self._names)
+    @staticmethod
+    def _topological_order(
+        down_start: array, down: array, remaining: list[int]
+    ) -> tuple[array, array]:
+        """Kahn's pass over term numbers, given their children and parent counts; also each depth.
+
+        On a cycle the order stops short: no term on or below it is released.
+        """
+        n = len(remaining)
         order = array("i", compress(range(n), map(not_, remaining)))
         depth = [0] * n
         for term in order:  # grows while it is walked
@@ -169,26 +178,18 @@ class OntologyGraph:
                 remaining[child] -= 1
                 if not remaining[child]:
                     order.append(child)
-        if len(order) < n:
-            done = set(order)
-            stuck = {t for t in range(n) if t not in done}
-            raise CycleDetectedError(self._find_cycle(stuck))
         return order, array("i", depth)
 
-    def _find_cycle(self, stuck: set[int]) -> list[str]:
+    def _find_cycle(self, up_start: array, up: array, stuck: set[int]) -> list[str]:
         # Every stuck node has a parent inside the stuck set; walking up
         # parent links must eventually revisit a node.
         start = min(stuck)  # numbers are in id order, so this is the least id
         seen: dict[int, int] = {}
         path = [start]
-        while path[-1] not in seen:
-            seen[path[-1]] = len(path) - 1
-            nxt = min(p for p in self._parent_ids(path[-1]) if p in stuck)
-            path.append(nxt)
+        while (i := path[-1]) not in seen:
+            seen[i] = len(path) - 1
+            path.append(min(p for p in up[up_start[i] : up_start[i + 1]] if p in stuck))
         return [self._names[t] for t in path[seen[path[-1]]:]]
-
-    def _parent_ids(self, i: int) -> array:
-        return self._up[self._up_start[i] : self._up_start[i + 1]]
 
     @property
     def terms(self) -> frozenset[str]:
@@ -204,14 +205,6 @@ class OntologyGraph:
 
     def __len__(self) -> int:
         return len(self._names)
-
-    def parents(self, term: str) -> frozenset[str]:
-        return frozenset(map(self._names.__getitem__, self._parent_ids(self._id(term))))
-
-    def children(self, term: str) -> frozenset[str]:
-        i = self._id(term)
-        kids = self._down[self._down_start[i] : self._down_start[i + 1]]
-        return frozenset(map(self._names.__getitem__, kids))
 
     def depth(self, term: str) -> int:
         """Edge count of the longest path from any root down to ``term``."""
@@ -323,10 +316,10 @@ def _pieces(source: str | TextIO) -> Iterator[str]:
 
 
 #: The attributes of an :class:`OntologyGraph` that a cache entry stores, in entry order.
-_ARRAYS = ("_up_start", "_up", "_down_start", "_down", "_depth", "_height")
+_ARRAYS = ("_depth", "_height")
 
 #: First word of a cache entry and of its key; a new entry layout takes a new tag.
-_ENTRY_TAG = b"annorate-graph-3"
+_ENTRY_TAG = b"annorate-graph-4"
 
 
 def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
@@ -378,7 +371,7 @@ def _source() -> bytes:
     return Path(__file__).read_bytes()
 
 
-def _entry_head(counts: tuple[int, int, int], digest: str) -> bytes:
+def _entry_head(counts: tuple[int, int], digest: str) -> bytes:
     """An entry's first line: tag, byte order, item size, the counts, the body's SHA-256."""
     fields = [sys.byteorder, array("i").itemsize, *counts, digest]
     return b" ".join([_ENTRY_TAG, *(str(field).encode("ascii") for field in fields)]) + b"\n"
@@ -401,7 +394,7 @@ def _write_entry(entry: Path, graph: OntologyGraph) -> None:
     digest = hashlib.sha256()
     for piece in body:
         digest.update(piece)
-    head = _entry_head((len(graph), len(graph._up), len(ids)), digest.hexdigest())
+    head = _entry_head((len(graph), len(ids)), digest.hexdigest())
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         replace_file(entry, [head, *body])
@@ -418,27 +411,22 @@ def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
     except OSError:
         return None
     cut = data.find(b"\n") + 1
-    try:  # the head's fields: tag, byte order, item size, terms, edges, id bytes, the digest
-        n, edges, id_bytes = counts = tuple(map(int, data[:cut].split()[3:-1]))
+    try:  # the head's fields: tag, byte order, item size, terms, id bytes, the digest
+        n, id_bytes = counts = tuple(map(int, data[:cut].split()[3:-1]))
     except ValueError:
         return None
     body = memoryview(data)[cut:]
-    itemsize = array("i").itemsize
-    lengths = [n + 1, edges, n + 1, edges, n, n]  # those of the _ARRAYS
-    if min(counts) < 0 or len(body) != sum(lengths) * itemsize + id_bytes:
+    size = n * array("i").itemsize  # that of each of the _ARRAYS
+    if min(counts) < 0 or len(body) != len(_ARRAYS) * size + id_bytes:
         return None  # the counts must fit the body before it is sliced
     # a foreign tag, byte order or item size fails here, and so does any damage to the body
     if data[:cut] != _entry_head(counts, hashlib.sha256(body).hexdigest()):
         return None
-    arrays = []
-    start = 0
-    for length in lengths:
-        values = array("i")
-        values.frombytes(body[start : start + length * itemsize])
-        arrays.append(values)
-        start += length * itemsize
+    arrays = [array("i") for _ in _ARRAYS]
+    for k, values in enumerate(arrays):
+        values.frombytes(body[k * size : (k + 1) * size])
     try:
-        names = str(body[start:], "utf-8").split("\n")
+        names = str(body[len(_ARRAYS) * size :], "utf-8").split("\n")
     except UnicodeDecodeError:
         return None
     return OntologyGraph._from_arrays(prefix, names, arrays) if len(names) == n else None

@@ -873,6 +873,37 @@ class TestReporting:
         # both reports are the previous ones, so stats never pairs one run's rows with another's
         assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
 
+    def test_failed_tsv_write_after_a_whole_scores_json_keeps_both_previous_reports(
+        self, mtbls95_corpus, mtbls95_catalog, tmp_path, monkeypatch, capsys
+    ):
+        write_study(mtbls95_corpus, "MTBLS0", investigation_text(study_id="MTBLS0"))
+        out = tmp_path / "out"
+        out.mkdir()
+        previous = {"scores.json": b'["a previous run"]\n', "scores.tsv": b"a previous run\n"}
+        for name, content in previous.items():
+            (out / name).write_bytes(content)
+        write_scores_json, events = cli._write_scores_json, []
+
+        def whole_scores_json(*args):
+            write_scores_json(*args)
+            events.append("scores.json written")
+
+        def full_disk_in_scores_tsv(*args):
+            events.append("scores.tsv failed")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_write_scores_json", whole_scores_json)
+        monkeypatch.setattr(cli, "_write_tsv", full_disk_in_scores_tsv)
+        code = run_cli(["score", "--corpus", str(mtbls95_corpus),
+                        "--catalog", str(mtbls95_catalog), "--out", str(out)])
+        assert events == ["scores.json written", "scores.tsv failed"]
+        # neither partial file is left, and the new scores.json was never renamed into place
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == previous
+        assert code == cli.EXIT_CANT_CREATE
+        assert capsys.readouterr().err == (
+            f"cannot write {out / 'scores.tsv'}: No space left on device\n"
+        )
+
     def test_failed_download_write_names_its_target(
         self, stub_server, tmp_path, monkeypatch, capsys
     ):
@@ -1027,7 +1058,8 @@ class TestJsonWriter:
     def test_writes_a_list_as_json_dump_with_indent(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "report.json"
-            cli._write_json_list(path, iter(records))
+            with cli._report(path) as out:
+                cli._write_json_list(out, iter(records))
             assert path.read_bytes() == (json.dumps(records, indent=2) + "\n").encode()
 
     @pytest.mark.parametrize(
@@ -1079,7 +1111,8 @@ class TestJsonWriter:
             scored.append((study, process_study(study, resolver)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.json"
-            cli._write_scores_json(path, scored, resolver)
+            with cli._report(path) as out:
+                cli._write_scores_json(out, scored, resolver)
             written = path.read_bytes()
         records = json.loads(written)
         for record, (_, score) in zip(records, scored, strict=True):

@@ -109,7 +109,7 @@ class TestLoadObo:
         graph = load_obo(CHAIN, "T")
         assert graph.roots == {"T:1"}
         assert len(graph) == 3
-        assert graph.parents("T:3") == {"T:2"}
+        assert graph.depth("T:3") == 2
 
     def test_obsolete_term_excluded(self):
         content = CHAIN + "\n[Term]\nid: T:4\nis_a: T:3\nis_obsolete: true\n"
@@ -120,7 +120,9 @@ class TestLoadObo:
     def test_diamond_multi_parent(self):
         graph = load_obo(DIAMOND, "T")
         assert graph.roots == {"T:A"}
-        assert graph.parents("T:D") == {"T:B", "T:C"}
+        assert graph.depth("T:D") == 2
+        # each of T:D's two parents heads a branch of two edges only through T:D
+        assert graph.branch_length("T:B") == graph.branch_length("T:C") == 2
 
     def test_cross_prefix_edges_dropped(self):
         content = "[Term]\nid: T:1\nis_a: OTHER:9\n\n[Term]\nid: T:2\nis_a: T:1\n"
@@ -154,8 +156,7 @@ class TestLoadObo:
     def test_duplicated_is_a_line_counts_once(self):
         content = "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1\nis_a: T:1 ! again\n"
         graph = load_obo(content, "T")
-        assert graph.parents("T:2") == {"T:1"}
-        assert graph.children("T:1") == {"T:2"}
+        assert graph.roots == {"T:1"}
         assert graph.depth("T:2") == 1
         assert graph.branch_length("T:1") == 1
 
@@ -174,7 +175,11 @@ class TestLoadObo:
         graph = load_obo(content, "T")
         assert graph.roots == {"T:1"}
         assert graph.depth("T:2") == 1
-        assert graph.parents("T:3") == {"T:1", "T:2"}
+        assert graph.depth("T:3") == 2
+        # a parent named only by a later stanza is an edge too: T:3 is T:0's one child
+        graph = load_obo(content + "\n[Term]\nid: T:0\n\n[Term]\nid: T:3\nis_a: T:0\n", "T")
+        assert graph.roots == {"T:0", "T:1"}
+        assert graph.branch_length("T:0") == 1
         assert graph.depth("T:3") == 2
 
     def test_repeated_stanza_marked_obsolete(self):
@@ -186,7 +191,7 @@ class TestLoadObo:
     def test_trailing_comment_stripped(self):
         content = "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1 ! the root\n"
         graph = load_obo(content, "T")
-        assert graph.parents("T:2") == {"T:1"}
+        assert graph.depth("T:2") == 1
 
 
 class TestMetrics:
@@ -224,10 +229,6 @@ class TestMetrics:
             graph.branch_length("T:999")
         with pytest.raises(UnknownTermError):
             graph.specificity("T:999")
-        with pytest.raises(UnknownTermError):
-            graph.parents("T:999")
-        with pytest.raises(UnknownTermError):
-            graph.children("T:999")
 
     def test_matches_oracle_on_random_dags(self):
         rng = random.Random(4242)
@@ -373,9 +374,9 @@ class TestGraphConstruction:
 
     def test_duplicate_parents_in_mapping_count_once(self):
         graph = OntologyGraph("T", {"T:1": [], "T:2": ["T:1", "T:1"]})
-        assert graph.parents("T:2") == {"T:1"}
-        assert graph.children("T:1") == {"T:2"}
+        assert graph.roots == {"T:1"}
         assert graph.depth("T:2") == 1
+        assert graph.branch_length("T:1") == 1
 
     def test_unknown_parent_names_term_and_parent(self):
         with pytest.raises(OntologyError, match="T:2: parent T:1 is not a term"):
@@ -390,11 +391,12 @@ class TestGraphConstruction:
             entries.append(ontology._cache_entry(catalog_path.parent / "t.obo", "T"))
         assert entries[0].name != entries[1].name
         assert entries[0].read_bytes() == entries[1].read_bytes()
-        forward, backward = graphs
-        assert forward.terms == backward.terms == set(parents)
-        for query in ("parents", "children", "depth", "branch_length"):
-            assert [getattr(forward, query)(t) for t in parents] == [
-                getattr(backward, query)(t) for t in parents
+        depth, branch, _, _ = brute_force_metrics(parents)
+        for graph in graphs:
+            assert graph.terms == set(parents)
+            assert graph.roots == {t for t, ps in parents.items() if not ps}
+            assert [(graph.depth(t), graph.branch_length(t)) for t in parents] == [
+                (depth[t], branch[t]) for t in parents
             ]
         unknown = {"T:2": ["T:0"], "T:1": ["T:9"], "T:3": []}
         for keys in (list(unknown), list(unknown)[::-1]):
@@ -405,14 +407,13 @@ class TestGraphConstruction:
     @given(st.randoms(use_true_random=False))
     def test_structure_matches_input_mapping(self, rnd):
         parents = random_parents(rnd)
-        children = {t: {c for c, ps in parents.items() if t in ps} for t in parents}
         roots = {t for t, ps in parents.items() if not ps}
+        depth, branch, _, _ = brute_force_metrics(parents)
         for graph in (OntologyGraph("T", parents), load_obo(obo_from_parents(parents), "T")):
             assert graph.terms == set(parents)
             assert graph.roots == roots
             for term in parents:
-                assert graph.parents(term) == parents[term]
-                assert graph.children(term) == children[term]
+                assert (graph.depth(term), graph.branch_length(term)) == (depth[term], branch[term])
 
 
 #: Term ids from two prefixes, few enough that stanzas collide and cycle.
@@ -471,7 +472,7 @@ def load_outcome(load):
 
 
 def assert_same_graph(graph, expected):
-    """Equal structure and metrics, or the same error type and cycle."""
+    """Equal terms, roots and metrics, or the same error type and cycle."""
     if isinstance(expected, OntologyError):
         assert type(graph) is type(expected)
         assert getattr(graph, "cycle", None) == getattr(expected, "cycle", None)
@@ -480,8 +481,6 @@ def assert_same_graph(graph, expected):
     assert graph.terms == expected.terms
     assert graph.roots == expected.roots
     for term in expected.terms:
-        assert graph.parents(term) == expected.parents(term)
-        assert graph.children(term) == expected.children(term)
         assert graph.specificity(term) == expected.specificity(term)
 
 
@@ -515,17 +514,15 @@ def assert_same_catalog(catalog, expected):
 
 
 def split_entry(entry):
-    """An ``entry`` of the current layout as its head's fields, its six arrays and its ids."""
+    """An ``entry`` of the current layout as its head's fields, its two arrays and its ids."""
     head, _, body = entry.partition(b"\n")
     fields = head.split()
-    itemsize, n, edges = map(int, fields[2:5])
-    arrays, start = [], 0
-    for length in (n + 1, edges, n + 1, edges, n, n):
-        values = array("i")
-        values.frombytes(body[start : start + length * itemsize])
-        arrays.append(values)
-        start += length * itemsize
-    return fields, arrays, body[start:]
+    itemsize, n = map(int, fields[2:4])
+    size = n * itemsize
+    arrays = [array("i") for _ in ontology._ARRAYS]
+    for k, values in enumerate(arrays):
+        values.frombytes(body[k * size : (k + 1) * size])
+    return fields, arrays, body[len(arrays) * size :]
 
 
 def joined_entry(fields, arrays, ids):
@@ -533,6 +530,25 @@ def joined_entry(fields, arrays, ids):
     body = b"".join(values.tobytes() for values in arrays) + ids
     digest = hashlib.sha256(body).hexdigest().encode()
     return b" ".join([*fields[:-1], digest]) + b"\n" + body
+
+
+def six_arrays(entry):
+    """The arrays that layouts 1 to 3 stored for ``entry``: parent and child CSR, depth, height.
+
+    Each CSR layout is an array of offsets and one of term numbers. The
+    edges are the oracle's for ``DAMAGED``, the content the entry was made
+    from, numbered as the entry's ids are.
+    """
+    _, arrays, ids = split_entry(entry)
+    names = ids.decode("utf-8").split("\n")
+    number = dict(zip(names, range(len(names))))
+    oracle = oracle_load_obo(DAMAGED, "T")
+    edges = []
+    for linked in (oracle.parents, oracle.children):
+        numbers = [sorted(map(number.__getitem__, linked(name))) for name in names]
+        edges += [array("i", itertools.accumulate(map(len, numbers), initial=0)),
+                  array("i", itertools.chain.from_iterable(numbers))]
+    return [*edges, *arrays]
 
 
 def by_name(arrays):
@@ -546,28 +562,42 @@ def earlier_layout(entry, tag, arrays_of=list):
     Layout 1 held the six arrays, in load order; layout 2 added ``by_name``.
     The damaged catalog's terms load in id order, so both orders agree.
     """
-    (_, order, itemsize, *_), arrays, ids = split_entry(entry)
-    arrays = arrays_of(arrays)
+    (_, order, itemsize, *_), _, ids = split_entry(entry)
+    arrays = arrays_of(six_arrays(entry))
     lengths = [str(len(values)).encode() for values in arrays]
     return joined_entry([tag, order, itemsize, *lengths, str(len(ids)).encode(), b""], arrays, ids)
 
 
+def layout_3(entry):
+    """``entry`` as layout 3 wrote it (six arrays; terms, edges and id bytes in the head), same tag."""
+    (tag, order, itemsize, n, id_bytes, _), _, ids = split_entry(entry)
+    arrays = six_arrays(entry)
+    edges = str(len(arrays[1])).encode()
+    return joined_entry([tag, order, itemsize, n, edges, id_bytes, b""], arrays, ids)
+
+
 def seven_arrays(entry):
-    """``entry`` with the ``by_name`` array of layout 2, behind a head of the current layout."""
-    fields, arrays, ids = split_entry(entry)
-    return joined_entry(fields, by_name(arrays), ids)
+    """``entry`` with the seven arrays of layout 2, behind a head of the current layout."""
+    fields, _, ids = split_entry(entry)
+    return joined_entry(fields, by_name(six_arrays(entry)), ids)
 
 
-def recounted(entry, terms=0, edges=0, id_bytes=0):
+def recounted(entry, terms=0, id_bytes=0):
     """``entry`` with the counts in its head moved by these amounts.
 
     The body, and so the digest in the head, stay as they were.
     """
     head, _, body = entry.partition(b"\n")
     fields = head.split()
-    for position, move in ((3, terms), (4, edges), (-2, id_bytes)):
+    for position, move in ((3, terms), (-2, id_bytes)):
         fields[position] = str(int(fields[position]) + move).encode()
     return b" ".join(fields) + b"\n" + body
+
+
+def without_terms(entry):
+    """``entry`` whose head counts no terms, and the bytes of its arrays as ids instead."""
+    n = int(entry.split()[3])
+    return recounted(entry, terms=-n, id_bytes=len(ontology._ARRAYS) * n * array("i").itemsize)
 
 
 def flip_bit(entry, position):
@@ -585,6 +615,9 @@ def foreign_byte_order(entry):
 
 #: Enough terms that the arrays of their entry hold bytes that are not UTF-8 (0x80 and up).
 LONG_CHAIN = chain_obo([f"T:c{i:03d}" for i in range(300)])
+
+#: The content whose cache entry each damage case starts from.
+DAMAGED = merge_obo(CHAIN, DIAMOND, LONG_CHAIN)
 
 
 class TestGraphCache:
@@ -650,19 +683,22 @@ class TestGraphCache:
             lambda entry: earlier_layout(entry, b"annorate-graph-2", by_name),
             lambda entry: earlier_layout(entry, ontology._ENTRY_TAG),
             seven_arrays,
+            layout_3,
             lambda entry: recounted(entry, terms=10**6),
             # the id byte count moves by the bytes the arrays lose or gain, so the size fits
-            lambda entry: recounted(entry, terms=-300, id_bytes=4 * 300 * array("i").itemsize),
-            lambda entry: recounted(entry, terms=-1, id_bytes=4 * array("i").itemsize),
-            lambda entry: recounted(entry, edges=300, id_bytes=-2 * 300 * array("i").itemsize),
+            lambda entry: recounted(entry, terms=-300, id_bytes=2 * 300 * array("i").itemsize),
+            lambda entry: recounted(entry, terms=-1, id_bytes=2 * array("i").itemsize),
+            lambda entry: recounted(entry, terms=1000, id_bytes=-2 * 1000 * array("i").itemsize),
+            without_terms,
         ],
         ids=["truncated", "bit-flipped-id", "bit-flipped-array", "bit-flipped-length",
              "wrong-magic", "empty", "foreign-byte-order", "layout-1", "layout-2",
-             "six-arrays-under-the-new-tag", "seven-arrays-under-the-new-tag", "counts-beyond-the-body", "arrays-read-as-bad-utf-8",
-             "arrays-read-as-ids", "negative-id-byte-count"],
+             "six-arrays-under-the-new-tag", "seven-arrays-under-the-new-tag",
+             "layout-3-under-the-new-tag", "counts-beyond-the-body", "arrays-read-as-bad-utf-8",
+             "arrays-read-as-ids", "negative-id-byte-count", "no-terms"],
     )
     def test_damaged_entry_is_a_miss_and_is_rewritten(self, damage, tmp_path, graph_cache):
-        catalog_path = write_catalog(tmp_path, {"T": merge_obo(CHAIN, DIAMOND, LONG_CHAIN)})
+        catalog_path = write_catalog(tmp_path, {"T": DAMAGED})
         cold, _ = load_catalog(catalog_path)
         (name,) = cache_entries(graph_cache)
         entry = graph_cache / name
@@ -673,6 +709,13 @@ class TestGraphCache:
         assert_same_catalog(reloaded, cold)
         assert entry.read_bytes() == written
         assert load_catalog(catalog_path)[1] == 0
+
+    def test_a_graph_keeps_only_what_specificity_reads(self, catalog_path):
+        cold, parsed = load_catalog(catalog_path)
+        warm, reparsed = load_catalog(catalog_path)
+        assert (parsed, reparsed) == (1, 0)
+        for graph in (cold.get("T"), warm.get("T")):
+            assert sorted(vars(graph)) == ["_depth", "_height", "_names", "prefix"]
 
     def test_unwritable_cache_still_loads_without_a_warning(
         self, catalog_path, tmp_path, monkeypatch, caplog
@@ -816,7 +859,7 @@ class TestTermSearch:
         graph, oracle = searched.get("T"), oracle_load_obo(SEARCHED, "T")
         assert term not in oracle
         assert term not in graph
-        for query in ("depth", "branch_length", "specificity", "parents", "children"):
+        for query in ("depth", "branch_length", "specificity"):
             for g in (oracle, graph):
                 with pytest.raises(UnknownTermError):
                     getattr(g, query)(term)
