@@ -33,25 +33,20 @@ depths; one reverse walk of that order gives the heights; then the edges
 are dropped.
 
 :meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
-entry, named by the SHA-256 of the OBO file's bytes, the prefix and this
-module's source. A later load of the same file reads the entry back as
-the two arrays and the ids, with no parse; an entry is plain data, never
-unpickled, and a missing or damaged one, or one of an earlier layout, only
-means a parse. An entry is written beside its path and renamed into place
-by :func:`annorate._files.replace_file`, so a reader finds a whole entry
-or none.
-
-A generated 250k-term taxonomy (21 MB of OBO) loads cold in ~1.8 s with a
-process peak of 101 MiB (92 MiB resident after the load) and warm in
-~0.07 s with 53 MiB (43 MiB after the load); a 1M-term one (87 MB) cold in
-~9 s with 349 MiB (284 MiB after) and warm in ~0.21 s with 153 MiB
-(112 MiB after). Figures are a fresh process's VmHWM and VmRSS (2 vCPU,
-Python 3.11). The two cache entries take 6.2 MB and 25.7 MB.
+entry, named by the SHA-256 of the OBO file's bytes and the prefix, and
+signed by the SHA-256 of this module's source and the entry's body. A
+later load of the same file reads the entry back as the two arrays and
+the ids, with no parse; an entry is plain data, never unpickled. A
+missing or damaged entry, or one that another version of this module
+wrote, only means a parse, and the entry is rewritten under the same
+name. An entry is written beside its path and renamed into place by
+:func:`annorate._files.replace_file`, so a reader finds a whole entry or
+none. The README gives load times, memory and entry sizes at scale.
 """
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, compress, repeat
@@ -318,8 +313,8 @@ def _pieces(source: str | TextIO) -> Iterator[str]:
 #: The attributes of an :class:`OntologyGraph` that a cache entry stores, in entry order.
 _ARRAYS = ("_depth", "_height")
 
-#: First word of a cache entry and of its key; a new entry layout takes a new tag.
-_ENTRY_TAG = b"annorate-graph-4"
+#: First word of an entry's head and its name's hash; a new layout is new source, so it stays.
+_ENTRY_TAG = b"annorate-graph"
 
 
 def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
@@ -344,17 +339,20 @@ def _cache_entry(obo_path: Path, prefix: str) -> Path | None:
     """Path of the cache entry for ``obo_path`` under ``prefix``, or None when there is none.
 
     Entries live in ``$XDG_CACHE_HOME/annorate/graphs/`` (``~/.cache`` when
-    that variable is unset or relative). The name is the SHA-256 of the entry
-    tag, this module's source, the prefix and the OBO file's bytes, so an
-    edited file, prefix or loader never meets an old entry.
+    that variable is unset or relative), and nowhere when neither path is
+    absolute. The name is the SHA-256 of the entry tag, the prefix and the
+    OBO file's bytes, so an edited file or prefix never meets an old entry;
+    another loader finds its :func:`_digest` foreign, parses, and rewrites it.
     """
     import hashlib  # here, so that commands which load no ontology never import it
 
     cache_home = os.environ.get("XDG_CACHE_HOME", "")
     try:
         root = Path(cache_home) if os.path.isabs(cache_home) else Path.home() / ".cache"
+        if not root.is_absolute():  # a relative HOME would put the cache under the cwd
+            return None
         key = hashlib.sha256()
-        for part in (_ENTRY_TAG, _source(), prefix.encode("utf-8")):
+        for part in (_ENTRY_TAG, prefix.encode("utf-8")):
             key.update(b"%d:" % len(part))
             key.update(part)
         with open(obo_path, "rb") as obo:
@@ -367,12 +365,22 @@ def _cache_entry(obo_path: Path, prefix: str) -> Path | None:
 
 @cache
 def _source() -> bytes:
-    """This module's source, read once per process for the cache key."""
+    """Seed of every entry's digest: this module's source, the only one that decides an entry."""
     return Path(__file__).read_bytes()
 
 
+def _digest(body: Iterable[bytes]) -> str:
+    """An entry's digest: the SHA-256 of :func:`_source`, then of each piece of ``body``."""
+    import hashlib
+
+    digest = hashlib.sha256(_source())
+    for piece in body:
+        digest.update(piece)
+    return digest.hexdigest()
+
+
 def _entry_head(counts: tuple[int, int], digest: str) -> bytes:
-    """An entry's first line: tag, byte order, item size, the counts, the body's SHA-256."""
+    """An entry's first line: tag, byte order, item size, the counts, the :func:`_digest`."""
     fields = [sys.byteorder, array("i").itemsize, *counts, digest]
     return b" ".join([_ENTRY_TAG, *(str(field).encode("ascii") for field in fields)]) + b"\n"
 
@@ -385,16 +393,11 @@ def _write_entry(entry: Path, graph: OntologyGraph) -> None:
     Nothing in it is pickled: it is read back as plain arrays and text. An
     ``OSError`` leaves the cache as it was.
     """
-    import hashlib
-
     from ._files import replace_file  # here, so that loading this module loads no other
 
     ids = "\n".join(graph._names).encode("utf-8")  # an id never holds a line break
     body = [*(getattr(graph, name) for name in _ARRAYS), ids]
-    digest = hashlib.sha256()
-    for piece in body:
-        digest.update(piece)
-    head = _entry_head((len(graph), len(ids)), digest.hexdigest())
+    head = _entry_head((len(graph), len(ids)), _digest(body))
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         replace_file(entry, [head, *body])
@@ -403,9 +406,7 @@ def _write_entry(entry: Path, graph: OntologyGraph) -> None:
 
 
 def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
-    """The graph stored at ``entry``, or None when it is missing, damaged or of another layout."""
-    import hashlib
-
+    """The graph stored at ``entry``, or None when it is missing, damaged or of another loader."""
     try:
         data = entry.read_bytes()
     except OSError:
@@ -419,8 +420,8 @@ def _read_entry(entry: Path, prefix: str) -> OntologyGraph | None:
     size = n * array("i").itemsize  # that of each of the _ARRAYS
     if min(counts) < 0 or len(body) != len(_ARRAYS) * size + id_bytes:
         return None  # the counts must fit the body before it is sliced
-    # a foreign tag, byte order or item size fails here, and so does any damage to the body
-    if data[:cut] != _entry_head(counts, hashlib.sha256(body).hexdigest()):
+    # a foreign tag, byte order, item size or loader fails here, and so does any damage
+    if data[:cut] != _entry_head(counts, _digest([body])):
         return None
     arrays = [array("i") for _ in _ARRAYS]
     for k, values in enumerate(arrays):

@@ -53,8 +53,6 @@ class AccessionResolver:
         self._resolutions: dict[str, Resolution] = {}
 
     def metrics(self, ref: AccessionRef) -> DepthMetrics | None:
-        if not ref.is_scorable:
-            return None
         try:
             return self._metrics[ref.raw]
         except KeyError:

@@ -528,7 +528,7 @@ def split_entry(entry):
 def joined_entry(fields, arrays, ids):
     """The entry of body ``arrays`` then ``ids``, behind head ``fields`` with a fresh digest last."""
     body = b"".join(values.tobytes() for values in arrays) + ids
-    digest = hashlib.sha256(body).hexdigest().encode()
+    digest = hashlib.sha256(ontology._source() + body).hexdigest().encode()
     return b" ".join([*fields[:-1], digest]) + b"\n" + body
 
 
@@ -611,6 +611,36 @@ def foreign_byte_order(entry):
         values.byteswap()
     fields[1] = {b"little": b"big", b"big": b"little"}[fields[1]]
     return joined_entry(fields, arrays, ids)
+
+
+#: One edit of an entry's bytes: its kind, its position (taken modulo the entry's length,
+#: and drawn from the head as often as from anywhere) and a non-zero byte to flip by or insert.
+ENTRY_EDIT = st.tuples(
+    st.sampled_from(["flip", "insert", "delete", "truncate"]),
+    st.one_of(st.integers(0, 120), st.integers(0, 1 << 16)),
+    st.integers(1, 255),
+)
+
+
+def edited(entry, edits):
+    """``entry`` after each of ``edits``, made in turn."""
+    for kind, position, byte in edits:
+        at = position % max(len(entry), 1)
+        if kind == "flip" and entry:
+            entry = entry[:at] + bytes([entry[at] ^ byte]) + entry[at + 1 :]
+        elif kind == "insert":
+            entry = entry[:at] + bytes([byte]) + entry[at:]
+        elif kind == "delete":
+            entry = entry[:at] + entry[at + 1 :]
+        elif kind == "truncate":
+            entry = entry[:at]
+    return entry
+
+
+def resigned(entry):
+    """``entry`` with the last field of its head replaced by the loader's digest of the rest."""
+    head, _, body = entry.partition(b"\n")
+    return joined_entry(head.split(), [], body)
 
 
 #: Enough terms that the arrays of their entry hold bytes that are not UTF-8 (0x80 and up).
@@ -761,6 +791,61 @@ class TestGraphCache:
         assert not (tmp_path / "relative").exists()
         assert len(cache_entries(tmp_path / "home" / ".cache" / "annorate" / "graphs")) == 1
         assert load_catalog(catalog_path)[1] == 0
+
+    def test_relative_home_means_no_cache(self, catalog_path, tmp_path, monkeypatch, caplog):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", "relative")
+        for _ in range(2):
+            catalog, parsed = load_catalog(catalog_path)
+            assert parsed == 1
+            assert_same_graph(catalog.get("T"), load_obo(merge_obo(CHAIN, DIAMOND), "T"))
+        assert list(tmp_path.rglob("*.graph")) == []
+        assert caplog.records == []
+
+    def test_entry_of_another_loader_is_replaced_in_place(self, catalog_path, graph_cache):
+        cold, _ = load_catalog(catalog_path)
+        (name,) = cache_entries(graph_cache)
+        entry = graph_cache / name
+        written = entry.read_bytes()
+        source = ontology._source()
+        with mock.patch.object(ontology, "_source", lambda: source + b"#"):
+            other, parsed = load_catalog(catalog_path)
+            assert parsed == 1
+            assert cache_entries(graph_cache) == [name]
+            assert entry.read_bytes() != written
+            assert load_catalog(catalog_path)[1] == 0
+        assert_same_catalog(other, cold)
+        reloaded, parsed = load_catalog(catalog_path)
+        assert parsed == 1
+        assert_same_catalog(reloaded, cold)
+        assert cache_entries(graph_cache) == [name]
+        assert entry.read_bytes() == written
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(ENTRY_EDIT, min_size=1, max_size=4), st.booleans())
+    def test_any_damage_is_a_miss_unless_re_signed(self, edits, signed):
+        """A damaged entry is parsed over and rewritten; one re-signed after the damage is trusted.
+
+        Either way the load raises nothing and warns of nothing, and no lookup raises.
+        """
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(
+            os.environ, {"XDG_CACHE_HOME": tmp}
+        ):
+            catalog_path = write_catalog(Path(tmp) / "ontologies", {"T": DAMAGED})
+            cold = OntologyCatalog.from_file(catalog_path)
+            (entry,) = (Path(tmp) / "annorate" / "graphs").iterdir()
+            written = entry.read_bytes()
+            damaged = edited(written, edits)
+            entry.write_bytes(resigned(damaged) if signed else damaged)
+            with mock.patch.object(ontology.log, "warning") as warning:
+                catalog = OntologyCatalog.from_file(catalog_path)
+            warning.assert_not_called()
+            for term in cold.get("T").terms:
+                catalog.lookup("T", term)
+            if not signed:
+                assert_same_catalog(catalog, cold)
+                assert entry.read_bytes() == written
 
     def test_changed_obo_bytes_miss(self, catalog_path, graph_cache):
         load_catalog(catalog_path)
