@@ -13,9 +13,9 @@ total function over strings and never performs I/O.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 
@@ -44,8 +44,7 @@ _BIOPORTAL_PURL_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AccessionRef:
+class AccessionRef(NamedTuple):
     raw: str
     kind: AccessionKind
     ontology_prefix: str | None = None
@@ -73,7 +72,8 @@ def classify_accession(raw: str) -> AccessionRef:
     never raises.
 
     The function is memoized: each distinct string is classified once per
-    process and every later call returns the same frozen ``AccessionRef``.
+    process and every later call returns the same ``AccessionRef``, an
+    immutable named tuple.
     A corpus repeats its URLs across slots and studies, so ``score`` and
     ``audit`` pay one classification per distinct URL, not one per slot.
     The memo grows with the distinct strings seen, which for a batch run is

@@ -34,11 +34,10 @@ are left in place for scoring, which tallies files as they are.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .accession import AccessionRef, Resolution, classify_accession
 from .isatab import AnnotationType, StudyMetadata
@@ -54,8 +53,7 @@ class IrregularityKind(Enum):
     EMPTY_LABEL_ANNOTATION = "EmptyLabelAnnotation"
 
 
-@dataclass(frozen=True)
-class Irregularity:
+class Irregularity(NamedTuple):
     study_id: str
     kind: IrregularityKind
     evidence: str

@@ -14,7 +14,7 @@ codes are script-friendly, and each failure prints one line to stderr:
   cannot be read, a --scores path that cannot be read (a directory, say),
   a scores.tsv whose line 1 is not its header, or a bad score row or
   record given to stats;
-* 73 an output that cannot be written.
+* 73 an output that cannot be written, standard output included.
 
 Each output is written beside its target and renamed into place by
 :func:`annorate._files.replacing`, so a failed or killed run leaves the
@@ -23,6 +23,7 @@ its two reports until both are written.
 """
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -167,7 +168,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    sys.exit(main())
+    code = main()
+    # the run is over: the garbage collections at interpreter exit skip a frozen heap
+    gc.freeze()
+    sys.exit(code)
 
 
 def cmd_fetch(args) -> int:
@@ -189,7 +193,7 @@ def cmd_fetch(args) -> int:
         concurrency=args.concurrency,
         cache=not args.no_cache,
     )
-    print(f"fetched {manifest.fetched_count}/{len(ids)} studies into {args.out}")
+    _say(f"fetched {manifest.fetched_count}/{len(ids)} studies into {args.out}")
     if ids and manifest.fetched_count == 0:
         return EXIT_ALL_FETCH_FAILED
     return EXIT_OK
@@ -218,7 +222,7 @@ def cmd_score(args) -> int:
                     for _, s in scored
                 ),
             )
-    print(f"scored {len(scored)} studies into {args.out}")
+    _say(f"scored {len(scored)} studies into {args.out}")
     return EXIT_OK
 
 
@@ -234,6 +238,7 @@ def cmd_stats(args) -> int:
     if not entries:
         print(f"no score rows in {args.scores}", file=sys.stderr)
         return EXIT_NO_INPUT
+    said = []  # standard output's lines, written after the reports
     if args.log_base_check:
         try:
             mismatches = _log_base_mismatches(entries)
@@ -243,7 +248,7 @@ def cmd_stats(args) -> int:
         for study_id, column in mismatches:
             print(f"log-base check: {study_id} {column} inconsistent", file=sys.stderr)
         if not mismatches:
-            print("log-base check: all log columns consistent with the transform")
+            said.append("log-base check: all log columns consistent with the transform")
     args.out.mkdir(parents=True, exist_ok=True)
 
     columns = ("log_terms", "log_annotations")
@@ -270,7 +275,7 @@ def cmd_stats(args) -> int:
     for name, (header, rows) in tables.items():
         with _report(args.out / name) as out:
             _write_tsv(out, header, rows)
-    print(f"wrote stats for {len(entries)} entries into {args.out}")
+    _say(*said, f"wrote stats for {len(entries)} entries into {args.out}")
     return EXIT_OK
 
 
@@ -291,7 +296,7 @@ def cmd_audit(args) -> int:
             ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
              for f in findings),
         )
-    print(f"{len(findings)} findings written to {args.out / 'audit.json'}")
+    _say(f"{len(findings)} findings written to {args.out / 'audit.json'}")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
     return EXIT_OK
@@ -320,6 +325,22 @@ def _load_inputs(args) -> tuple[list[StudyMetadata], AccessionResolver] | None:
     from . import ingest
 
     return studies, AccessionResolver(catalog, prober=ingest.probe_accession)
+
+
+def _say(*lines: str) -> None:
+    """Print ``lines`` to standard output and flush it, after a command's reports.
+
+    A failed write raises an ``OSError`` naming standard output, once file
+    descriptor 1 is the null device, so the flush at exit cannot fail again.
+    """
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OSError(exc.errno, exc.strerror, "standard output") from None
 
 
 def _reason(exc: Exception) -> str:

@@ -26,10 +26,10 @@ standard deviation and the gaps equal an array library's bit for bit, and
 run.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from math import sqrt
 from operator import add
+from typing import NamedTuple
 
 from .isatab import SCORED_TYPES, AnnotationType
 from .scoring import EntryScore
@@ -42,8 +42,7 @@ class EmptyCorpusError(Exception):
     """Statistics requested over an empty entry list."""
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     n: int
     mean: float
     std_dev: float
@@ -52,8 +51,7 @@ class CorpusStats:
     pct_above_mean: float
 
 
-@dataclass(frozen=True)
-class BoxplotStats:
+class BoxplotStats(NamedTuple):
     minimum: float
     q1: float
     median: float
@@ -61,8 +59,7 @@ class BoxplotStats:
     maximum: float
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     histogram: list[tuple[int, int]]
     per_type_boxplot: dict[AnnotationType, BoxplotStats]
     avg_weighting_gap: dict[AnnotationType, float]

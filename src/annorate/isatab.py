@@ -22,10 +22,10 @@ pure function of its input and safe to call concurrently.
 """
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 
 class AnnotationType(Enum):
@@ -74,27 +74,40 @@ class MalformedFileError(Exception):
     """Content has no recognizable investigation field rows."""
 
 
-@dataclass(frozen=True)
-class TermSlot:
+class TermSlot(NamedTuple):
     """One term listing: free-text label plus optional accession URL."""
 
     label: str
     accession: str = ""
 
 
-@dataclass
 class StudyMetadata:
     """Per-study term slots keyed by annotation type.
 
     Every :class:`AnnotationType` key is always present, possibly with an
     empty list. ``warnings`` records non-fatal parse issues (duplicate field
-    rows, encoding repairs).
+    rows, encoding repairs). The fields stay assignable: a loader sets
+    ``source_path`` and ``warnings`` after the parse.
     """
 
-    study_id: str
-    slots: dict[AnnotationType, list[TermSlot]]
-    source_path: str = ""
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("study_id", "slots", "source_path", "warnings")
+
+    def __init__(
+        self, study_id: str, slots: dict, source_path: str = "", warnings: list[str] | None = None
+    ):
+        self.study_id = study_id
+        self.slots = slots
+        self.source_path = source_path
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def parse_investigation(content: str, source_name: str = "") -> list[StudyMetadata]:

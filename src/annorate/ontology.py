@@ -47,12 +47,11 @@ none. The README gives load times, memory and entry sizes at scale.
 from array import array
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, compress, repeat
 from operator import not_
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 import logging
 import os
 import sys
@@ -83,8 +82,7 @@ class UnknownTermError(KeyError):
     """Queried term is not part of the graph."""
 
 
-@dataclass(frozen=True)
-class DepthMetrics:
+class DepthMetrics(NamedTuple):
     depth: int
     branch_length: int
     score: float

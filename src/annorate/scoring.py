@@ -17,10 +17,9 @@ rankings are preserved.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .accession import AccessionRef, classify_accession
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
@@ -33,22 +32,31 @@ class DomainError(ValueError):
     """Input outside the [0, 100] score domain."""
 
 
-@dataclass(frozen=True)
-class TypeScore:
+class TypeScore(NamedTuple):
     annotation_count: int
     term_count: int
     score_sum: float
     by_annotations: float
     by_terms: float
     #: The (slot, classified accession) pair of each annotation, in slot order.
-    #: Empty on scores rebuilt from report files; ignored by equality.
-    annotations: tuple[tuple[TermSlot, AccessionRef], ...] = field(
-        default=(), compare=False, repr=False
-    )
+    #: Empty on scores rebuilt from report files; ignored by equality, hashing
+    #: and repr, which all read the fields before it.
+    annotations: tuple[tuple[TermSlot, AccessionRef], ...] = ()
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if isinstance(other, TypeScore) else NotImplemented
+
+    def __ne__(self, other):
+        return self[:-1] != other[:-1] if isinstance(other, TypeScore) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    def __repr__(self) -> str:
+        return "TypeScore(" + ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[:-1])) + ")"
 
 
-@dataclass(frozen=True)
-class EntryScore:
+class EntryScore(NamedTuple):
     study_id: str
     per_type: dict[AnnotationType, TypeScore]
     global_terms: float

@@ -3,6 +3,7 @@
 import argparse
 import codecs
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -17,13 +18,21 @@ from hypothesis import strategies as st
 
 from annorate import accession, audit, cli, pipeline, scoring
 from annorate.accession import Resolution, classify_accession
+from annorate.audit import Irregularity, IrregularityKind
+from annorate.corpus import BoxplotStats, CorpusStats
 from annorate.ontology import DepthMetrics
+from annorate.scoring import EntryScore, TypeScore
 from annorate.pipeline import AccessionResolver, annotation_details, load_corpus, process_study
 
 from conftest import investigation_text, mtbls95_investigation
 from annorate.isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
 
 MTBLS95_ROW = "MTBLS95\t8\t41.6250000\t50.2075956\t44.9166667\t53.5223527"
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+#: The corpus arguments of score and audit on the bundled demo corpus.
+DEMO_CORPUS_ARGS = ["--corpus", str(DEMO_DATA / "corpus"),
+                    "--catalog", str(DEMO_DATA / "ontologies" / "catalog.tsv")]
 
 #: A well-formed per-type value of a scores.json record.
 GOOD_TYPE_SCORE = {
@@ -904,6 +913,36 @@ class TestReporting:
             f"cannot write {out / 'scores.tsv'}: No space left on device\n"
         )
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command, reports",
+        [("score", {"scores.json", "scores.tsv"}),
+         ("stats", {"stats.tsv", "hist.tsv", "boxplot.tsv", "gaps.tsv"})],
+    )
+    def test_failed_standard_output_exits_with_one_line(
+        self, command, reports, unbuffered, tmp_path
+    ):
+        reference = tmp_path / "reference"
+        inputs = {"score": DEMO_CORPUS_ARGS, "stats": ["--scores", str(reference / "scores.tsv")]}
+        for name in ("score", "stats"):
+            assert run_cli([name, *inputs[name], "--out", str(reference)]) == cli.EXIT_OK
+        out = tmp_path / "out"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "annorate", command, *inputs[command], "--out", str(out)],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+                     "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert (result.returncode, result.stderr) == (
+            cli.EXIT_CANT_CREATE, "cannot write standard output: No space left on device\n"
+        )
+        # every report was written before the one line of standard output
+        assert {path.name for path in out.iterdir()} == reports
+        for name in reports:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
     def test_failed_download_write_names_its_target(
         self, stub_server, tmp_path, monkeypatch, capsys
     ):
@@ -1149,6 +1188,30 @@ class TestPipelineEquivalence:
 
 
 class TestConsoleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["score", *DEMO_CORPUS_ARGS, "--out", "o"], cli.EXIT_OK),
+         (["audit", *DEMO_CORPUS_ARGS, "--out", "o", "--fail-on-findings"], cli.EXIT_FINDINGS),
+         (["score", *DEMO_CORPUS_ARGS, "--out", "a-file/o"], cli.EXIT_USAGE),
+         (["stats", "--scores", "no-such-file.tsv", "--out", "o"], cli.EXIT_NO_INPUT)],
+        ids=["ok", "findings", "usage", "no-input"],
+    )
+    def test_exit_code_of_a_run_that_ends_by_returning(self, argv, code, tmp_path):
+        """run() freezes the heap between main() and sys.exit(); the code passes through."""
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "annorate", *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert result.returncode == code, result.stderr
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        """Only the console entry point freezes: library callers keep normal collection."""
+        frozen = gc.get_freeze_count()
+        assert cli.main(["score", *DEMO_CORPUS_ARGS, "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
     def test_python_dash_m_invocation(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "annorate", "score", "--corpus",
@@ -1201,10 +1264,13 @@ class TestStartup:
     """Each process loads only the modules its work uses (each test starts a new one)."""
 
     def test_import_leaves_numpy_and_requests_unloaded(self):
-        """score, stats and audit processes do not pay for unused imports."""
-        out = run_fresh(
-            "import sys, annorate.cli; print(sorted({'numpy', 'requests'} & set(sys.modules)))"
-        )
+        """score, stats and audit processes do not pay for unused imports.
+
+        The result records are named tuples: ``dataclasses`` and the
+        ``inspect`` it imports would cost more than a ``stats`` run's work.
+        """
+        unused = {"numpy", "requests", "dataclasses", "inspect"}
+        out = run_fresh(f"import sys, annorate.cli; print(sorted({unused!r} & set(sys.modules)))")
         assert out.strip() == "[]"
 
     def test_stats_run_leaves_numpy_unloaded(self, tmp_path):
@@ -1252,16 +1318,18 @@ class TestStartup:
         out = run_fresh(
             "import sys, annorate.cli; "
             f"codes = [annorate.cli.main(argv) for argv in {runs!r}]; "
-            "print(codes, 'annorate.ingest' in sys.modules)"
+            "print(codes, 'annorate.ingest' in sys.modules, 'dataclasses' in sys.modules)"
         )
-        assert out.splitlines()[-1] == "[0, 0, 0] False"
+        assert out.splitlines()[-1] == "[0, 0, 0] False False"
 
     def test_one_export_loads_only_its_submodule(self):
+        """The benchmark's catalog set-up: annorate.ontology alone, and no dataclasses."""
         out = run_fresh(
             "import sys, annorate; annorate.OntologyCatalog; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'annorate'))"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'annorate'), "
+            "'dataclasses' in sys.modules)"
         )
-        assert out.strip() == "['annorate', 'annorate.ontology']"
+        assert out.strip() == "['annorate', 'annorate.ontology'] False"
 
     def test_star_import_binds_each_name_to_its_submodules_object(self):
         out = run_fresh(
@@ -1300,3 +1368,50 @@ class TestStartup:
             "    print(exc)\n"
         )
         assert out.strip() == "module 'annorate' has no attribute 'no_such_name'"
+
+
+GO_URL = "http://purl.obolibrary.org/obo/GO_0000001"
+
+
+class TestRecords:
+    """The public result types are immutable named tuples; StudyMetadata stays mutable."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [TermSlot("label", GO_URL),
+         classify_accession(GO_URL),
+         DepthMetrics(1, 2, 0.5),
+         Irregularity("S", IrregularityKind.BROKEN_ACCESSION, "evidence"),
+         TypeScore(1, 2, 0.5, 0.5, 0.25),
+         EntryScore("S", {}, 50.0, 50.0, 58.5, 58.5, 1),
+         CorpusStats(1, 50.0, 0.0, 50.0, 50.0, 0.0),
+         BoxplotStats(0.0, 0.25, 0.5, 0.75, 1.0)],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_no_field_can_be_assigned(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_type_score_equality_hash_and_repr_ignore_annotations(self):
+        annotations = ((TermSlot("label", GO_URL), classify_accession(GO_URL)),)
+        bare = TypeScore(1, 2, 0.5, 0.5, 0.25)
+        tallied = TypeScore(1, 2, 0.5, 0.5, 0.25, annotations)
+        assert tallied.annotations == annotations
+        assert bare == tallied and not bare != tallied
+        assert hash(bare) == hash(tallied)
+        assert repr(tallied) == repr(bare) == (
+            "TypeScore(annotation_count=1, term_count=2, score_sum=0.5,"
+            " by_annotations=0.5, by_terms=0.25)"
+        )
+        other = TypeScore(1, 2, 0.5, 0.5, 0.5, annotations)
+        assert other != tallied and not other == tallied
+
+    def test_study_metadata_gets_a_fresh_warnings_list(self):
+        first, second = StudyMetadata("A", {}), StudyMetadata("A", {})
+        first.warnings.append("a warning")
+        assert (first.warnings, second.warnings) == (["a warning"], [])
+        first.source_path = "A/i_Investigation.txt"
+        assert first == StudyMetadata("A", {}, "A/i_Investigation.txt", ["a warning"])
+        assert first != second
+        assert repr(second) == "StudyMetadata(study_id='A', slots={}, source_path='', warnings=[])"

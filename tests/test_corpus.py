@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -214,8 +213,8 @@ class TestCorpusStats:
         # each of the tens of thousands of draws
         entries = _draw_entries(random.Random(seed), n)
         for column in SCORE_COLUMNS:
-            assert _bits(astuple(corpus_stats(entries, column))) == _bits(
-                astuple(_numpy_stats(entries, column))
+            assert _bits(tuple(corpus_stats(entries, column))) == _bits(
+                tuple(_numpy_stats(entries, column))
             )
         gaps = distribution(entries).avg_weighting_gap
         expected = _numpy_gaps(entries)
