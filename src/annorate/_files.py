@@ -36,7 +36,7 @@ def replacing(path: Path, mode: str = "wb", **open_args) -> Iterator[IO]:
         partial.unlink(missing_ok=True)
 
 
-def replace_file(path: Path, chunks: Iterable, mode: str = "wb", **open_args) -> None:
+def replace_file(path: Path, chunks: Iterable[bytes]) -> None:
     """Replace ``path`` with a file of ``chunks``, written and renamed as :func:`replacing` does."""
-    with replacing(path, mode, **open_args) as out:
+    with replacing(path) as out:
         out.writelines(chunks)

@@ -14,7 +14,11 @@ codes are script-friendly, and each failure prints one line to stderr:
   cannot be read, a --scores path that cannot be read (a directory, say),
   a scores.tsv whose line 1 is not its header, or a bad score row or
   record given to stats;
-* 73 an output that cannot be written, standard output included.
+* 73 an output that cannot be written, standard output included: argparse
+  output such as ``--help`` to a standard output that cannot be written
+  exits 73 with one line.
+
+A standard error that cannot be written never changes the exit code.
 
 Each output is written beside its target and renamed into place by
 :func:`annorate._files.replacing`, so a failed or killed run leaves the
@@ -74,10 +78,18 @@ _TYPE_SCORE_FIELDS = (
 ENV_BASE_URL = "ANNORATE_BASE_URL"
 
 
+class _Failure(Exception):
+    """A failed command's exit code and the one line that :func:`main` writes to stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if message:
+            _console(file or sys.stderr, message)
 
 
 def _near_dup_threshold(value: str) -> float:
@@ -152,23 +164,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    existing = next(path for path in (args.out, *args.out.parents) if path.exists())
-    if not existing.is_dir():
-        print(f"--out {args.out}: {existing} is a file, not a directory", file=sys.stderr)
-        return EXIT_USAGE
-    # looked up at call time, so that a rebound cmd_* (a tracer's wrapper, say) is the one run
-    command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        args = build_parser().parse_args(argv)
+        existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+        if not existing.is_dir():
+            raise _Failure(EXIT_USAGE, f"--out {args.out}: {existing} is a file, not a directory")
+        # looked up at call time, so that a rebound cmd_* (a tracer's wrapper, say) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:  # every read failure is reported, with exit 65, where it happens
-        print(f"cannot write {exc.filename or args.out}: {_reason(exc)}", file=sys.stderr)
-        return EXIT_CANT_CREATE
+        code, line = EXIT_CANT_CREATE, f"cannot write {exc.filename or args.out}: {_reason(exc)}"
+    except _Failure as failure:
+        code, line = failure.args
+    _console(sys.stderr, line + "\n")
+    return code
 
 
 def run() -> None:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     code = main()
+    _console(sys.stderr, "")  # a log line still buffered must not fail the flush at exit
     # the run is over: the garbage collections at interpreter exit skip a frozen heap
     gc.freeze()
     sys.exit(code)
@@ -181,11 +195,9 @@ def cmd_fetch(args) -> int:
     try:
         ids = ingest.list_studies(base_url, args.ids)
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read ids file {args.ids}: {_reason(exc)}", file=sys.stderr)
-        return EXIT_NO_INPUT
+        raise _Failure(EXIT_NO_INPUT, f"cannot read ids file {args.ids}: {_reason(exc)}")
     except ingest.NetworkError as exc:
-        print(f"cannot list studies: {exc}", file=sys.stderr)
-        return EXIT_ALL_FETCH_FAILED
+        raise _Failure(EXIT_ALL_FETCH_FAILED, f"cannot list studies: {exc}")
     manifest = ingest.fetch_corpus(
         ids,
         args.out,
@@ -193,17 +205,14 @@ def cmd_fetch(args) -> int:
         concurrency=args.concurrency,
         cache=not args.no_cache,
     )
-    _say(f"fetched {manifest.fetched_count}/{len(ids)} studies into {args.out}")
+    _console(sys.stdout, f"fetched {manifest.fetched_count}/{len(ids)} studies into {args.out}\n")
     if ids and manifest.fetched_count == 0:
         return EXIT_ALL_FETCH_FAILED
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    loaded = _load_inputs(args)
-    if loaded is None:
-        return EXIT_NO_INPUT
-    studies, resolver = loaded
+    studies, resolver = _load_inputs(args)
     scored = [(study, process_study(study, resolver)) for study in studies]
     scored.sort(key=lambda pair: (-pair[1].log_terms, pair[1].study_id))
 
@@ -222,7 +231,7 @@ def cmd_score(args) -> int:
                     for _, s in scored
                 ),
             )
-    _say(f"scored {len(scored)} studies into {args.out}")
+    _console(sys.stdout, f"scored {len(scored)} studies into {args.out}\n")
     return EXIT_OK
 
 
@@ -230,25 +239,21 @@ def cmd_stats(args) -> int:
     try:
         entries = _read_entries(args.scores, args.score_column)
     except OSError as exc:
-        print(f"cannot read {exc.filename or args.scores}: {_reason(exc)}", file=sys.stderr)
-        return EXIT_NO_INPUT
+        raise _Failure(EXIT_NO_INPUT, f"cannot read {exc.filename or args.scores}: {_reason(exc)}")
     except ValueError as exc:
-        print(f"bad score row in {args.scores}: {exc}", file=sys.stderr)
-        return EXIT_NO_INPUT
+        raise _Failure(EXIT_NO_INPUT, f"bad score row in {args.scores}: {exc}")
     if not entries:
-        print(f"no score rows in {args.scores}", file=sys.stderr)
-        return EXIT_NO_INPUT
-    said = []  # standard output's lines, written after the reports
+        raise _Failure(EXIT_NO_INPUT, f"no score rows in {args.scores}")
+    said = ""  # standard output's lines, written after the reports
     if args.log_base_check:
         try:
             mismatches = _log_base_mismatches(entries)
         except DomainError as exc:
-            print(f"log-base check: {exc}", file=sys.stderr)
-            return EXIT_NO_INPUT
-        for study_id, column in mismatches:
-            print(f"log-base check: {study_id} {column} inconsistent", file=sys.stderr)
+            raise _Failure(EXIT_NO_INPUT, f"log-base check: {exc}")
+        _console(sys.stderr, "".join(f"log-base check: {study_id} {column} inconsistent\n"
+                                     for study_id, column in mismatches))
         if not mismatches:
-            said.append("log-base check: all log columns consistent with the transform")
+            said = "log-base check: all log columns consistent with the transform\n"
     args.out.mkdir(parents=True, exist_ok=True)
 
     columns = ("log_terms", "log_annotations")
@@ -275,15 +280,12 @@ def cmd_stats(args) -> int:
     for name, (header, rows) in tables.items():
         with _report(args.out / name) as out:
             _write_tsv(out, header, rows)
-    _say(*said, f"wrote stats for {len(entries)} entries into {args.out}")
+    _console(sys.stdout, f"{said}wrote stats for {len(entries)} entries into {args.out}\n")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    loaded = _load_inputs(args)
-    if loaded is None:
-        return EXIT_NO_INPUT
-    studies, resolver = loaded
+    studies, resolver = _load_inputs(args)
     findings = []
     for study in studies:
         findings.extend(audit_entry(study, resolver.resolution))
@@ -296,27 +298,25 @@ def cmd_audit(args) -> int:
             ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
              for f in findings),
         )
-    _say(f"{len(findings)} findings written to {args.out / 'audit.json'}")
+    _console(sys.stdout, f"{len(findings)} findings written to {args.out / 'audit.json'}\n")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
     return EXIT_OK
 
 
-def _load_inputs(args) -> tuple[list[StudyMetadata], AccessionResolver] | None:
+def _load_inputs(args) -> tuple[list[StudyMetadata], AccessionResolver]:
     """The studies under ``--corpus`` and a resolver over ``--catalog``.
 
-    None, after a one-line message, when no file parses or the catalog cannot be read.
+    Raises ``_Failure`` with exit 65 when no file parses or the catalog cannot be read.
     """
     studies, _ = load_corpus(args.corpus)
     if not studies:
-        print(f"no parseable investigation files under {args.corpus}", file=sys.stderr)
-        return None
+        raise _Failure(EXIT_NO_INPUT, f"no parseable investigation files under {args.corpus}")
     if args.catalog is not None:
         try:
             catalog = OntologyCatalog.from_file(args.catalog)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"cannot read catalog {args.catalog}: {_reason(exc)}", file=sys.stderr)
-            return None
+            raise _Failure(EXIT_NO_INPUT, f"cannot read catalog {args.catalog}: {_reason(exc)}")
     else:
         log.warning("no ontology catalog supplied; every term scores 0")
         catalog = OntologyCatalog()
@@ -327,20 +327,23 @@ def _load_inputs(args) -> tuple[list[StudyMetadata], AccessionResolver] | None:
     return studies, AccessionResolver(catalog, prober=ingest.probe_accession)
 
 
-def _say(*lines: str) -> None:
-    """Print ``lines`` to standard output and flush it, after a command's reports.
+def _console(stream: TextIO, text: str) -> None:
+    """Write ``text`` to ``stream``, standard output or standard error, and flush it.
 
-    A failed write raises an ``OSError`` naming standard output, once file
-    descriptor 1 is the null device, so the flush at exit cannot fail again.
+    Every console line goes through here, argparse's included. A stream that
+    cannot be written is pointed at the null device, so the flush at exit
+    cannot fail again. Then a failed standard output raises ``_Failure`` with
+    exit 73, and a failed standard error is dropped: it never changes the exit code.
     """
     try:
-        print(*lines, sep="\n")
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        raise OSError(exc.errno, exc.strerror, "standard output") from None
+        if stream is sys.stdout:
+            raise _Failure(EXIT_CANT_CREATE, f"cannot write standard output: {_reason(exc)}")
 
 
 def _reason(exc: Exception) -> str:

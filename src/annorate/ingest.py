@@ -30,9 +30,8 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from ._files import replace_file
@@ -69,8 +68,7 @@ class NetworkError(Exception):
     """A request failed at once or after exhausting its retries."""
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     study_id: str
     path: str
     url: str
@@ -83,8 +81,7 @@ class ManifestEntry:
         return self.status in (STATUS_OK, STATUS_CACHED)
 
 
-@dataclass
-class CorpusManifest:
+class CorpusManifest(NamedTuple):
     entries: list[ManifestEntry]
 
     @property
@@ -99,7 +96,7 @@ class CorpusManifest:
             if is_new:
                 f.write("\t".join(MANIFEST_COLUMNS) + "\n")
             for entry in self.entries:
-                f.write("\t".join(astuple(entry)) + "\n")
+                f.write("\t".join(entry) + "\n")
         return path
 
     def verify(self, dest_dir: str | Path) -> list[ManifestEntry]:
@@ -236,4 +233,4 @@ def _sha256(data: bytes) -> str:
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -20,6 +20,7 @@ from annorate import accession, audit, cli, pipeline, scoring
 from annorate.accession import Resolution, classify_accession
 from annorate.audit import Irregularity, IrregularityKind
 from annorate.corpus import BoxplotStats, CorpusStats
+from annorate.ingest import ManifestEntry
 from annorate.ontology import DepthMetrics
 from annorate.scoring import EntryScore, TypeScore
 from annorate.pipeline import AccessionResolver, annotation_details, load_corpus, process_study
@@ -943,6 +944,56 @@ class TestReporting:
         for name in reports:
             assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "case, code",
+        [("score-logging-a-warning", cli.EXIT_OK),
+         ("score-of-an-empty-corpus", cli.EXIT_NO_INPUT),
+         ("stats-of-a-missing-file", cli.EXIT_NO_INPUT),
+         ("unknown-option", cli.EXIT_USAGE)],
+    )
+    def test_failed_standard_error_never_changes_the_exit_code(
+        self, case, code, unbuffered, tmp_path
+    ):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = {
+            # no catalog: the run logs one warning, and its reports are still written
+            "score-logging-a-warning": ["score", "--corpus", str(DEMO_DATA / "corpus")],
+            "score-of-an-empty-corpus": ["score", "--corpus", str(empty)],
+            "stats-of-a-missing-file": ["stats", "--scores", str(tmp_path / "missing.tsv")],
+            "unknown-option": ["score", "--corpus", str(empty), "--frobnicate"],
+        }[case]
+        out = tmp_path / "out"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "annorate", *argv, "--out", str(out)],
+                stdout=subprocess.PIPE, stderr=full, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+                     "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert result.returncode == code
+        if code == cli.EXIT_OK:
+            assert result.stdout == f"scored 5 studies into {out}\n"
+            assert {path.name for path in out.iterdir()} == {"scores.json", "scores.tsv"}
+        else:
+            assert result.stdout == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_help_to_a_failed_standard_output_exits_with_one_line(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "annorate", "--help"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+                     "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert (result.returncode, result.stderr) == (
+            cli.EXIT_CANT_CREATE, "cannot write standard output: No space left on device\n"
+        )
+
     def test_failed_download_write_names_its_target(
         self, stub_server, tmp_path, monkeypatch, capsys
     ):
@@ -1385,7 +1436,9 @@ class TestRecords:
          TypeScore(1, 2, 0.5, 0.5, 0.25),
          EntryScore("S", {}, 50.0, 50.0, 58.5, 58.5, 1),
          CorpusStats(1, 50.0, 0.0, 50.0, 50.0, 0.0),
-         BoxplotStats(0.0, 0.25, 0.5, 0.75, 1.0)],
+         BoxplotStats(0.0, 0.25, 0.5, 0.75, 1.0),
+         ManifestEntry("S", "S/i_Investigation.txt", "http://h/S", "1970-01-01T00:00:00Z",
+                       "0" * 64, "ok")],
         ids=lambda record: type(record).__name__,
     )
     def test_no_field_can_be_assigned(self, record):
