@@ -26,6 +26,11 @@ class AccessionKind(Enum):
     MALFORMED = "Malformed"
 
 
+#: The two PURL kinds. Bound once: on Python 3.10 and 3.11 each lookup of an
+#: enum member costs ~0.2 µs, and ``score`` asks every accession slot.
+_SCORABLE_KINDS = (AccessionKind.OBO_PURL, AccessionKind.BIOPORTAL_PURL)
+
+
 class Resolution(Enum):
     """Outcome of resolving an accession against loaded ontologies or the web."""
 
@@ -52,7 +57,7 @@ class AccessionRef(NamedTuple):
 
     @property
     def is_scorable(self) -> bool:
-        return self.kind in (AccessionKind.OBO_PURL, AccessionKind.BIOPORTAL_PURL)
+        return self.kind in _SCORABLE_KINDS
 
     @property
     def curie(self) -> str | None:

@@ -42,8 +42,8 @@ from typing import TextIO
 
 from . import corpus as corpus_mod
 from ._files import replacing
-from .audit import DEFAULT_NEAR_DUP_THRESHOLD, audit_corpus, audit_entry
-from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata
+from .audit import DEFAULT_NEAR_DUP_THRESHOLD, Irregularity, audit_corpus, audit_entry
+from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
 from .scoring import DomainError, EntryScore, TypeScore, log_transform
@@ -66,7 +66,8 @@ SCORES_TSV_COLUMNS = (
     "log_score_annotations",
 )
 
-#: scores.json per-type fields, in output order, each with the JSON kind it must have.
+#: scores.json per-type fields, in the order ``_score_record`` writes them, each with the
+#: JSON kind that ``_read_per_type`` requires.
 _TYPE_SCORE_FIELDS = (
     ("annotation_count", int),
     ("term_count", int),
@@ -293,11 +294,7 @@ def cmd_audit(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     with _report(args.out / "audit.json") as out:
-        _write_json_list(
-            out,
-            ({"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
-             for f in findings),
-        )
+        _write_json_list(out, map(_finding_record, findings))
     _console(sys.stdout, f"{len(findings)} findings written to {args.out / 'audit.json'}\n")
     if findings and args.fail_on_findings:
         return EXIT_FINDINGS
@@ -367,57 +364,82 @@ def _write_tsv(out: TextIO, header: Iterable[str], rows: Iterable[Iterable[str]]
     out.writelines("\t".join(row) + "\n" for row in chain([header], rows))
 
 
-#: Indent of an annotation record in scores.json: list, record, "types", type, "annotations".
-_ANNOTATION_INDENT = "  " * 5
-#: An encoded annotation record up to its label's value.
-_LABEL_OPENING = "{\n" + _ANNOTATION_INDENT + '  "label": '
-
-
 class _Encoded(str):
-    """A scores.json annotation record laid out for its place; ``_json_indented`` copies it."""
+    """A report record's JSON text, laid out for its place; ``_json_indented`` copies it."""
 
 
 def _write_scores_json(out: TextIO, scored, resolver) -> None:
     """Write the records of ``scored`` to ``out`` as ``json.dumps(records, indent=2)`` would.
 
-    An annotation record is its ``label`` followed by the fields that
-    :func:`annotation_fields` derives from its accession URL alone. Those
-    are encoded once per distinct URL, at the records' fixed nesting, and
-    the text is spliced in after each annotation's encoded label; the
-    annotation dicts of :func:`annotation_details` are never built.
+    Each record's text is built from a fixed template: its study fields, then
+    one block per scored type. An annotation record is its ``label``
+    followed by the fields that :func:`annotation_fields` derives from its
+    accession URL alone. Those fields are encoded once per distinct URL,
+    and a whole annotation record once per distinct slot (equal slots are
+    one object, see :mod:`annorate.isatab`), then copied wherever it
+    repeats; the annotation dicts of :func:`annotation_details` are never built.
     """
-    url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the record's "{"
+    url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the label
+    annotation_texts: dict[TermSlot, str] = {}  # slot -> its encoded annotation record
 
-    def encode_annotation(slot, ref) -> _Encoded:
-        fields = url_fields.get(ref.raw)
-        if fields is None:
-            encoded = _json_indented(annotation_fields(ref, resolver), _ANNOTATION_INDENT)
-            fields = url_fields[ref.raw] = encoded[1:]
-        return _Encoded(_LABEL_OPENING + encode_basestring_ascii(slot.label) + "," + fields)
+    def annotation_text(slot: TermSlot, ref) -> str:
+        text = annotation_texts.get(slot)
+        if text is None:
+            fields = url_fields.get(ref.raw)
+            if fields is None:
+                fields = url_fields[ref.raw] = "".join(
+                    f',\n            "{key}": {_json_indented(value)}'
+                    for key, value in annotation_fields(ref, resolver).items()
+                )
+            text = annotation_texts[slot] = f"""{{
+            "label": {encode_basestring_ascii(slot.label)}{fields}
+          }}"""
+        return text
 
     _write_json_list(
-        out, (_score_record(study, score, encode_annotation) for study, score in scored)
+        out, (_score_record(study, score, annotation_text) for study, score in scored)
     )
 
 
-def _score_record(study, score: EntryScore, encode_annotation) -> dict:
-    types = {}
+def _score_record(study: StudyMetadata, score: EntryScore, annotation_text) -> _Encoded:
+    """The scores.json record of ``score``, laid out at its place in the list."""
+    blocks = []
     for annotation_type in SCORED_TYPES:
         ts = score.per_type[annotation_type]
-        fields = {key: getattr(ts, key) for key, _ in _TYPE_SCORE_FIELDS}
-        fields["annotations"] = [encode_annotation(slot, ref) for slot, ref in ts.annotations]
-        types[annotation_type.value] = fields
-    return {
-        "study_id": score.study_id,
-        "source_path": study.source_path,
-        "total_annotations": score.total_annotations,
-        "global_terms": score.global_terms,
-        "log_terms": score.log_terms,
-        "global_annotations": score.global_annotations,
-        "log_annotations": score.log_annotations,
-        "warnings": study.warnings,
-        "types": types,
-    }
+        texts = [annotation_text(slot, ref) for slot, ref in ts.annotations]
+        annotations = "[\n          " + ",\n          ".join(texts) + "\n        ]" if texts else "[]"
+        blocks.append(f"""\
+"{annotation_type.value}": {{
+        "annotation_count": {_json_indented(ts.annotation_count)},
+        "term_count": {_json_indented(ts.term_count)},
+        "score_sum": {_json_indented(ts.score_sum)},
+        "by_annotations": {_json_indented(ts.by_annotations)},
+        "by_terms": {_json_indented(ts.by_terms)},
+        "annotations": {annotations}
+      }}""")
+    types = ",\n      ".join(blocks)
+    return _Encoded(f"""{{
+    "study_id": {_json_indented(score.study_id)},
+    "source_path": {_json_indented(study.source_path)},
+    "total_annotations": {_json_indented(score.total_annotations)},
+    "global_terms": {_json_indented(score.global_terms)},
+    "log_terms": {_json_indented(score.log_terms)},
+    "global_annotations": {_json_indented(score.global_annotations)},
+    "log_annotations": {_json_indented(score.log_annotations)},
+    "warnings": {_json_indented(study.warnings, "    ")},
+    "types": {{
+      {types}
+    }}
+  }}""")
+
+
+def _finding_record(finding: Irregularity) -> _Encoded:
+    """The audit.json record of ``finding``, laid out at its place in the list."""
+    return _Encoded(f"""{{
+    "study_id": {encode_basestring_ascii(finding.study_id)},
+    "kind": {encode_basestring_ascii(finding.kind.value)},
+    "evidence": {encode_basestring_ascii(finding.evidence)}
+  }}""")
 
 
 def _write_json_list(out: TextIO, records) -> None:

@@ -19,11 +19,21 @@ up in one set of recognized field row names. Those rows keep their cells
 raw, and a study cleans only the ones it reads: its labels, accessions and
 identifier. Every other row but ``STUDY`` headers is skipped. Parsing is a
 pure function of its input and safe to call concurrently.
+
+A corpus repeats its cells and slots heavily, so the parse does each
+distinct one once per process. Cleaning is memoized, so a distinct cell is
+cleaned once. Each slot comes from one memoized constructor, so equal
+(label, accession) pairs anywhere in the input, within a study, across
+types or across files, are one shared immutable :class:`TermSlot`, with
+one label and one accession string. Like those of ``classify_accession``,
+both memos grow with the distinct cells seen, which for a batch run is
+bounded by its input.
 """
 
 import re
 from enum import Enum
-from itertools import zip_longest
+from functools import cache
+from itertools import starmap, zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -190,6 +200,7 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
     return studies
 
 
+@cache
 def _clean_cell(cell: str) -> str:
     cell = cell.strip()
     if len(cell) >= 2 and cell.startswith('"') and cell.endswith('"'):
@@ -197,7 +208,11 @@ def _clean_cell(cell: str) -> str:
     return cell
 
 
+#: The one ``TermSlot`` of each distinct (label, accession) pair.
+_slot = cache(TermSlot)
+
+
 def _pair_slots(labels: list[str], accessions: list[str]) -> list[TermSlot]:
-    """Pair raw label and accession cells by position, cleaning each."""
+    """Pair raw label and accession cells by position, cleaning each; skip empty pairs."""
     pairs = zip_longest(map(_clean_cell, labels), map(_clean_cell, accessions), fillvalue="")
-    return [TermSlot(label, accession) for label, accession in pairs if label or accession]
+    return list(starmap(_slot, filter(any, pairs)))

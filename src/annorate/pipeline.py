@@ -6,13 +6,16 @@ and score entries; the audit reads the same loaded studies. Network probing
 is an optional add-on that only refines *why* an accession could not be
 resolved (broken versus not in the catalog); it never changes scores.
 
-A run pays for each distinct accession URL once, however many slots repeat
-it: one classification (``classify_accession`` is memoized), one catalog
-lookup and at most one probe (one :class:`AccessionResolver` serves the
-whole run and remembers, per URL, both the depth metrics and the resolution
-outcome), and one encoding of the URL's report fields
-(:func:`annotation_fields`), which the ``scores.json`` writer splices after
-each annotation's label. Scoring, the per-annotation report and the audit
+A run does the costly work of each distinct cell, slot and accession URL
+once, however often it repeats. The parse cleans each distinct cell once and
+makes equal (label, accession) pairs one shared :class:`~annorate.isatab.TermSlot`
+(see :mod:`annorate.isatab`). Each distinct URL costs one classification
+(``classify_accession`` is memoized), one catalog lookup and at most one
+probe (one :class:`AccessionResolver` serves the whole run and remembers,
+per URL, both the depth metrics and the resolution outcome), and one
+encoding of the URL's report fields (:func:`annotation_fields`). The
+``scores.json`` writer encodes each distinct annotation record, a slot
+with those fields, once. Scoring, the per-annotation report and the audit
 share all of these.
 """
 

@@ -1118,6 +1118,9 @@ URL_POOL = (
     "http://purl.bioontology.org/ontology/MSH/C081695",
     "http://purl.obolibrary.org/obo/NCBITaxon_9606",
 )
+#: A slot's accession: a scorable URL, or none or a link that is not an
+#: annotation, so that the two weightings differ.
+SLOT_ACCESSIONS = URL_POOL + ("", "http://example.org/free-text")
 #: A URL's catalog entry: none (depth and branch length null, score 0.0), or
 #: depth metrics whose score the report must print exactly.
 URL_METRICS = st.one_of(
@@ -1177,9 +1180,13 @@ class TestJsonWriter:
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.dictionaries(
-                st.sampled_from(SCORED_TYPES),
-                st.lists(st.tuples(JSON_TEXT, st.sampled_from(URL_POOL)), max_size=5),
+            st.tuples(
+                st.dictionaries(
+                    st.sampled_from(SCORED_TYPES),
+                    st.lists(st.tuples(JSON_TEXT, st.sampled_from(SLOT_ACCESSIONS)), max_size=5),
+                ),
+                JSON_TEXT,
+                st.lists(JSON_TEXT, max_size=3),
             ),
             min_size=1,
             max_size=3,
@@ -1194,10 +1201,10 @@ class TestJsonWriter:
             prober=lambda ref: Resolution.BROKEN if ref.raw in broken else Resolution.RESOLVED,
         )
         scored = []
-        for number, sections in enumerate(studies):
+        for number, (sections, source_path, warnings) in enumerate(studies):
             slots = {t: [TermSlot(label, url) for label, url in cells]
                      for t, cells in sections.items()}
-            study = StudyMetadata(f"S{number}", slots, source_path=f"S{number}/i_Investigation.txt")
+            study = StudyMetadata(f"S{number}", slots, source_path, warnings)
             scored.append((study, process_study(study, resolver)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scores.json"
@@ -1205,10 +1212,44 @@ class TestJsonWriter:
                 cli._write_scores_json(out, scored, resolver)
             written = path.read_bytes()
         records = json.loads(written)
-        for record, (_, score) in zip(records, scored, strict=True):
+
+        def typed(values: dict) -> list:  # JSON 1 and 1.0 must not pass for each other
+            return [(key, type(value), value) for key, value in values.items()]
+
+        for record, (study, score) in zip(records, scored, strict=True):
+            entry_fields = ("total_annotations", "global_terms", "log_terms",
+                            "global_annotations", "log_annotations")
+            assert typed({key: record[key] for key in record if key != "types"}) == typed(
+                {"study_id": score.study_id, "source_path": study.source_path,
+                 **{key: getattr(score, key) for key in entry_fields},
+                 "warnings": study.warnings}
+            )
+            assert list(record["types"]) == [t.value for t in SCORED_TYPES]
+            for annotation_type in SCORED_TYPES:
+                fields = record["types"][annotation_type.value]
+                annotations = fields.pop("annotations")
+                per_type = score.per_type[annotation_type]
+                assert typed(fields) == typed(
+                    {key: getattr(per_type, key) for key, _ in cli._TYPE_SCORE_FIELDS}
+                )
+                assert len(annotations) == per_type.annotation_count
             for type_name, annotations in annotation_details(score, resolver).items():
                 record["types"][type_name]["annotations"] = annotations
         assert written == (json.dumps(records, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["score_sum", "by_annotations", "by_terms", "global_terms"])
+    def test_scores_json_rejects_a_non_finite_score(self, field, value):
+        per_type = TypeScore(1, 1, 0.5, 0.5, 0.5)
+        per_type = {t: per_type for t in SCORED_TYPES}
+        entry = EntryScore("S1", per_type, 12.5, 12.5, 16.9925001, 16.9925001, 4)
+        if field in TypeScore._fields:  # the last type's block, after three good ones
+            per_type[SCORED_TYPES[-1]] = per_type[SCORED_TYPES[-1]]._replace(**{field: value})
+        else:
+            entry = entry._replace(**{field: value})
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(ValueError, match="non-finite"):
+            with cli._report(Path(tmp) / "scores.json") as out:
+                cli._write_scores_json(out, [(StudyMetadata("S1", {}), entry)], resolver=None)
 
 
 class TestPipelineEquivalence:

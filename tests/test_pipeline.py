@@ -6,7 +6,7 @@ import pytest
 
 from annorate import cli, ingest
 from annorate.accession import Resolution, classify_accession
-from annorate.isatab import AnnotationType
+from annorate.isatab import AnnotationType, TermSlot
 from annorate.ontology import OntologyCatalog
 from annorate.pipeline import (
     AccessionResolver,
@@ -141,6 +141,28 @@ class TestLoadCorpus:
         with caplog.at_level("WARNING", logger="annorate.pipeline"):
             load_corpus(corpus)
         assert caplog.records == []
+
+    def test_equal_slots_are_one_object(self, tmp_path):
+        """An equal (label, accession) pair anywhere in the corpus is one slot, with one label."""
+        corpus = tmp_path / "corpus"
+        sections_by_study = {
+            "S1": {AnnotationType.DESIGN: (["leaf"], [GO_LEAF.raw])},
+            # the same pair under two other types, once with padding that cleaning strips
+            "S2": {AnnotationType.FACTOR: (["dose", "leaf"], ["", GO_LEAF.raw]),
+                   AnnotationType.ASSAY: ([" leaf "], [GO_LEAF.raw])},
+        }
+        for study_id, sections in sections_by_study.items():
+            (corpus / study_id).mkdir(parents=True)
+            (corpus / study_id / "i_Investigation.txt").write_text(
+                investigation_text(study_id=study_id, sections=sections), encoding="utf-8"
+            )
+        (first, second), _ = load_corpus(corpus)
+        (design,) = first.slots[AnnotationType.DESIGN]
+        factor = second.slots[AnnotationType.FACTOR][1]
+        (assay,) = second.slots[AnnotationType.ASSAY]
+        assert design == TermSlot("leaf", GO_LEAF.raw)
+        assert design is factor is assay
+        assert design.label is factor.label is assay.label
 
     def test_ignores_other_files(self, tmp_path):
         corpus = tmp_path / "corpus"
