@@ -93,15 +93,22 @@ class _Parser(argparse.ArgumentParser):
             _console(file or sys.stderr, message)
 
 
+# each validator raises ArgumentTypeError itself: argparse's message for a ValueError names it
 def _near_dup_threshold(value: str) -> float:
-    threshold = float(value)
+    try:
+        threshold = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number") from None
     if not 0.0 < threshold <= 0.5:
         raise argparse.ArgumentTypeError("must be in (0, 0.5]")
     return threshold
 
 
 def _concurrency(value: str) -> int:
-    workers = int(value)
+    try:
+        workers = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
     if workers < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return workers
@@ -364,20 +371,18 @@ def _write_tsv(out: TextIO, header: Iterable[str], rows: Iterable[Iterable[str]]
     out.writelines("\t".join(row) + "\n" for row in chain([header], rows))
 
 
-class _Encoded(str):
-    """A report record's JSON text, laid out for its place; ``_json_indented`` copies it."""
-
-
 def _write_scores_json(out: TextIO, scored, resolver) -> None:
     """Write the records of ``scored`` to ``out`` as ``json.dumps(records, indent=2)`` would.
 
     Each record's text is built from a fixed template: its study fields, then
-    one block per scored type. An annotation record is its ``label``
-    followed by the fields that :func:`annotation_fields` derives from its
-    accession URL alone. Those fields are encoded once per distinct URL,
-    and a whole annotation record once per distinct slot (equal slots are
-    one object, see :mod:`annorate.isatab`), then copied wherever it
-    repeats; the annotation dicts of :func:`annotation_details` are never built.
+    one block per scored type, every value encoded by :func:`_json_scalar`
+    and both lists (``warnings``, a type's annotations) laid out by
+    :func:`_json_list`. An annotation record is its ``label`` followed by
+    the fields that :func:`annotation_fields` derives from its accession URL
+    alone. Those fields are encoded once per distinct URL, and a whole
+    annotation record once per distinct slot (equal slots are one object,
+    see :mod:`annorate.isatab`), then copied wherever it repeats; the
+    annotation dicts of :func:`annotation_details` are never built.
     """
     url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the label
     annotation_texts: dict[TermSlot, str] = {}  # slot -> its encoded annotation record
@@ -388,11 +393,11 @@ def _write_scores_json(out: TextIO, scored, resolver) -> None:
             fields = url_fields.get(ref.raw)
             if fields is None:
                 fields = url_fields[ref.raw] = "".join(
-                    f',\n            "{key}": {_json_indented(value)}'
+                    f',\n            "{key}": {_json_scalar(value)}'
                     for key, value in annotation_fields(ref, resolver).items()
                 )
             text = annotation_texts[slot] = f"""{{
-            "label": {encode_basestring_ascii(slot.label)}{fields}
+            "label": {_json_scalar(slot.label)}{fields}
           }}"""
         return text
 
@@ -401,74 +406,79 @@ def _write_scores_json(out: TextIO, scored, resolver) -> None:
     )
 
 
-def _score_record(study: StudyMetadata, score: EntryScore, annotation_text) -> _Encoded:
+def _score_record(study: StudyMetadata, score: EntryScore, annotation_text) -> str:
     """The scores.json record of ``score``, laid out at its place in the list."""
     blocks = []
     for annotation_type in SCORED_TYPES:
         ts = score.per_type[annotation_type]
-        texts = [annotation_text(slot, ref) for slot, ref in ts.annotations]
-        annotations = "[\n          " + ",\n          ".join(texts) + "\n        ]" if texts else "[]"
+        annotations = [annotation_text(slot, ref) for slot, ref in ts.annotations]
         blocks.append(f"""\
 "{annotation_type.value}": {{
-        "annotation_count": {_json_indented(ts.annotation_count)},
-        "term_count": {_json_indented(ts.term_count)},
-        "score_sum": {_json_indented(ts.score_sum)},
-        "by_annotations": {_json_indented(ts.by_annotations)},
-        "by_terms": {_json_indented(ts.by_terms)},
-        "annotations": {annotations}
+        "annotation_count": {_json_scalar(ts.annotation_count)},
+        "term_count": {_json_scalar(ts.term_count)},
+        "score_sum": {_json_scalar(ts.score_sum)},
+        "by_annotations": {_json_scalar(ts.by_annotations)},
+        "by_terms": {_json_scalar(ts.by_terms)},
+        "annotations": {_json_list(annotations, "        ")}
       }}""")
     types = ",\n      ".join(blocks)
-    return _Encoded(f"""{{
-    "study_id": {_json_indented(score.study_id)},
-    "source_path": {_json_indented(study.source_path)},
-    "total_annotations": {_json_indented(score.total_annotations)},
-    "global_terms": {_json_indented(score.global_terms)},
-    "log_terms": {_json_indented(score.log_terms)},
-    "global_annotations": {_json_indented(score.global_annotations)},
-    "log_annotations": {_json_indented(score.log_annotations)},
-    "warnings": {_json_indented(study.warnings, "    ")},
+    return f"""{{
+    "study_id": {_json_scalar(score.study_id)},
+    "source_path": {_json_scalar(study.source_path)},
+    "total_annotations": {_json_scalar(score.total_annotations)},
+    "global_terms": {_json_scalar(score.global_terms)},
+    "log_terms": {_json_scalar(score.log_terms)},
+    "global_annotations": {_json_scalar(score.global_annotations)},
+    "log_annotations": {_json_scalar(score.log_annotations)},
+    "warnings": {_json_list([_json_scalar(w) for w in study.warnings], "    ")},
     "types": {{
       {types}
     }}
-  }}""")
+  }}"""
 
 
-def _finding_record(finding: Irregularity) -> _Encoded:
+def _finding_record(finding: Irregularity) -> str:
     """The audit.json record of ``finding``, laid out at its place in the list."""
-    return _Encoded(f"""{{
-    "study_id": {encode_basestring_ascii(finding.study_id)},
-    "kind": {encode_basestring_ascii(finding.kind.value)},
-    "evidence": {encode_basestring_ascii(finding.evidence)}
-  }}""")
+    return f"""{{
+    "study_id": {_json_scalar(finding.study_id)},
+    "kind": {_json_scalar(finding.kind.value)},
+    "evidence": {_json_scalar(finding.evidence)}
+  }}"""
 
 
-def _write_json_list(out: TextIO, records) -> None:
-    """Write ``json.dump(list(records), out, indent=2)`` and a newline to ``out``.
+def _write_json_list(out: TextIO, texts) -> None:
+    """Write the record texts ``texts`` to ``out`` as ``json.dump(..., indent=2)`` lays out a list.
 
-    Both reports go through here. Each record is encoded by
-    :func:`_json_indented` and written before the next is asked for, so the
-    whole document never sits in memory.
+    Both reports go through here. Each text is a record already laid out at
+    its place in the list, and is written before the next is asked for, so
+    the whole document never sits in memory.
     """
     opening = "[\n  "
-    for record in records:
-        out.write(opening + _json_indented(record, "  "))
+    for text in texts:
+        out.write(opening + text)
         opening = ",\n  "
     out.write("[]\n" if opening == "[\n  " else "\n]\n")
 
 
-def _json_indented(value, indent: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` encodes it, nested at ``indent``.
+def _json_list(texts: list[str], indent: str) -> str:
+    """The encoded values ``texts`` as ``json.dumps(indent=2)`` lays out a list at ``indent``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + indent + "]"
+
+
+def _json_scalar(value) -> str:
+    """``value``, a str, int, finite float or None, as ``json.dumps`` encodes it.
 
     The pure-Python encoder that ``json`` falls back to whenever ``indent`` is
-    set is several times slower. Only the kinds the reports hold are taken:
-    str, int, finite float, None, and lists and str-keyed dicts of them, and
-    ``_Encoded`` text, which is copied as it is.
+    set is several times slower, so the reports' templates lay out their own
+    objects and lists and encode each value here. Any other kind, a bool or a
+    non-finite float included, raises.
     """
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is _Encoded:
-        return value
     if kind is int:
         return int.__repr__(value)
     if kind is float:
@@ -477,22 +487,7 @@ def _json_indented(value, indent: str = "") -> str:
         return float.__repr__(value)
     if value is None:
         return "null"
-    inner = indent + "  "
-    if kind is list:
-        items = [_json_indented(item, inner) for item in value]
-        brackets = "[]"
-    elif kind is dict:
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_indented(item, inner)
-            for key, item in value.items()
-        ]
-        brackets = "{}"
-    else:
-        raise TypeError(f"{value!r} is not a report JSON value")
-    if not items:
-        return brackets
-    separator = ",\n" + inner
-    return brackets[0] + "\n" + inner + separator.join(items) + "\n" + indent + brackets[1]
+    raise TypeError(f"{value!r} is not a report JSON scalar")
 
 
 def _log_base_mismatches(entries: list[EntryScore]) -> list[tuple[str, str]]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annorate import accession, audit, cli, pipeline, scoring
@@ -102,18 +102,26 @@ class TestUsageErrors:
             )
         assert err.value.code == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("bad", ["0", "0.51", "-0.1", "2"])
-    def test_near_dup_threshold_range(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", ["0", "0.51", "-0.1", "2", "abc"])
+    def test_near_dup_threshold_range(self, tmp_path, capsys, bad):
         with pytest.raises(SystemExit) as err:
             run_cli(["audit", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
                      "--near-dup-threshold", bad])
         assert err.value.code == cli.EXIT_USAGE
+        reason = "must be a number" if bad == "abc" else "must be in (0, 0.5]"
+        assert capsys.readouterr().err.endswith(
+            f"annorate audit: error: argument --near-dup-threshold: {reason}\n"
+        )
 
-    def test_concurrency_must_be_positive(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["fetch", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "o"),
-                     "--concurrency", "0"])
-        assert err.value.code == cli.EXIT_USAGE
+    def test_concurrency_must_be_positive(self, tmp_path, capsys):
+        for bad, reason in [("0", "must be at least 1"), ("x", "must be an integer")]:
+            with pytest.raises(SystemExit) as err:
+                run_cli(["fetch", "--ids", str(tmp_path / "ids.txt"), "--out", str(tmp_path / "o"),
+                         "--concurrency", bad])
+            assert err.value.code == cli.EXIT_USAGE
+            assert capsys.readouterr().err.endswith(
+                f"annorate fetch: error: argument --concurrency: {reason}\n"
+            )
 
     def test_every_option_has_help(self):
         (subparsers,) = [action for action in cli.build_parser()._actions
@@ -863,16 +871,15 @@ class TestReporting:
         previous = {"scores.json": b'["a previous run"]\n', "scores.tsv": b"a previous run\n"}
         for name, content in previous.items():
             (out / name).write_bytes(content)
-        encode, records = cli._json_indented, []
+        score_record, records = cli._score_record, []
 
-        def full_disk_at_the_second_record(value, indent=""):
-            if indent == "  ":  # a record of the list, not a value nested in one
-                records.append(value)
-                if len(records) == 2:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return encode(value, indent)
+        def full_disk_at_the_second_record(*args):
+            records.append(args)
+            if len(records) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return score_record(*args)
 
-        monkeypatch.setattr(cli, "_json_indented", full_disk_at_the_second_record)
+        monkeypatch.setattr(cli, "_score_record", full_disk_at_the_second_record)
         code = run_cli(["score", "--corpus", str(mtbls95_corpus),
                         "--catalog", str(mtbls95_catalog), "--out", str(out)])
         assert code == cli.EXIT_CANT_CREATE
@@ -1142,28 +1149,38 @@ JSON_VALUE = st.recursive(
 
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None)
-    @given(JSON_VALUE)
+    @given(JSON_SCALAR)
     def test_encodes_as_json_dumps_with_indent(self, value):
-        assert cli._json_indented(value) == json.dumps(value, indent=2)
+        assert cli._json_scalar(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(JSON_SCALAR, max_size=4), st.sampled_from(["", "    ", "        "]))
+    def test_lays_out_a_list_as_json_dumps_with_indent(self, values, indent):
+        texts = [cli._json_scalar(value) for value in values]
+        assert cli._json_list(texts, indent) == json.dumps(values, indent=2).replace(
+            "\n", "\n" + indent
+        )
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(JSON_VALUE, max_size=4))
+    @example([])
     def test_writes_a_list_as_json_dump_with_indent(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "report.json"
             with cli._report(path) as out:
-                cli._write_json_list(out, iter(records))
+                cli._write_json_list(
+                    out, (json.dumps(r, indent=2).replace("\n", "\n  ") for r in records)
+                )
             assert path.read_bytes() == (json.dumps(records, indent=2) + "\n").encode()
 
     @pytest.mark.parametrize(
         "value",
-        [True, False, float("nan"), float("inf"), -float("inf"), [1, True],
-         {"score": float("nan")}],
-        ids=["true", "false", "nan", "inf", "-inf", "nested-bool", "nested-nan"],
+        [True, False, float("nan"), float("inf"), -float("inf"), ["a list"]],
+        ids=["true", "false", "nan", "inf", "-inf", "list"],
     )
     def test_rejects_bool_and_non_finite(self, value):
         with pytest.raises((TypeError, ValueError)):
-            cli._json_indented(value)
+            cli._json_scalar(value)
 
     def test_reports_equal_json_dumps_encoding(self, tmp_path):
         data = Path(__file__).resolve().parents[1] / "demos" / "data"
