@@ -25,12 +25,14 @@ A graph numbers its terms 0..n-1 in id order and keeps no per-term
 Python container, and nothing that specificity does not read: depth and
 height as two ``array('i')``, and the sorted list of ids, whose positions
 are the term numbers, so a term is found by bisection over its id, with no
-id-to-number dict. While a graph is built, parents and children are two
-CSR layouts (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
-§3.4), each an ``array('i')`` of offsets plus an ``array('i')`` of term
-numbers. One Kahn pass over them gives the topological order and the
-depths; one reverse walk of that order gives the heights; then the edges
-are dropped.
+id-to-number dict. While a graph is built, its edges are one CSR layout of
+each term's parents (Saad, *Iterative Methods for Sparse Linear Systems*,
+2nd ed., §3.4): an ``array('i')`` of offsets plus an ``array('i')`` of term
+numbers. One Kahn pass releases each term once all its children are
+released, leaves first, and gives the heights; the reverse of that order
+puts every parent before its children and gives the depths; then the
+edges are dropped. Only a cyclic graph, to name one of its loops, lists
+any term's children.
 
 :meth:`OntologyCatalog.from_file` keeps each graph it parses in a cache
 entry, named by the SHA-256 of the OBO file's bytes and the prefix, and
@@ -48,7 +50,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from functools import cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress
 from operator import not_
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -96,9 +98,10 @@ class OntologyGraph:
     the first term in id order with an unknown parent. Terms are numbered in
     id order, whatever the mapping's order. The graph keeps what specificity
     reads and nothing else: each term's depth and height, precomputed, and
-    the sorted ids, which are the search index. The edges serve only to
-    compute those and are dropped, so a query is one bisection (about
-    log2 n string comparisons) plus array indexing.
+    the sorted ids, which are the search index. The edges, kept as parent
+    links alone, serve only to compute those in two passes (heights leaf
+    first, then depths root first) and are dropped, so a query is one
+    bisection (about log2 n string comparisons) plus array indexing.
     """
 
     def __init__(self, prefix: str, parents: Mapping[str, Collection[str]]):
@@ -108,9 +111,8 @@ class OntologyGraph:
         n = len(names)
         ranked = list(map(parents.__getitem__, names))  # each term's parents, in id order
         # The parents of term t are up[up_start[t]:up_start[t + 1]]. A repeated
-        # parent stays repeated: the passes below release its copies together.
-        degree = array("i", map(len, ranked))
-        up_start = array("i", accumulate(degree, initial=0))
+        # parent stays repeated: the pass below counts and releases each copy.
+        up_start = array("i", accumulate(map(len, ranked), initial=0))
         try:
             up = array("i", map(index.__getitem__, chain.from_iterable(ranked)))
         except KeyError as exc:
@@ -118,30 +120,34 @@ class OntologyGraph:
             term = next(t for t, ps in zip(names, ranked) if missing in ps)
             raise OntologyError(f"{term}: parent {missing} is not a term of the graph") from None
         del index, ranked  # only the edges need them; a query bisects the sorted ids
-        # The children of term t, ascending, are down[down_start[t]:down_start[t + 1]].
-        count = array("i", [0]) * (n + 1)
+        # Lists index faster than arrays; these working ones, of child counts,
+        # heights and depths, are dropped once the passes are done, and so are
+        # the edges.
+        remaining = [0] * n
         for p in up:
-            count[p + 1] += 1
-        down_start = array("i", accumulate(count))
-        down = array("i", [0]) * len(up)
-        free = down_start[:-1]  # each term's next unfilled child slot
-        for term, p in zip(chain.from_iterable(map(repeat, range(n), degree)), up):
-            down[free[p]] = term
-            free[p] += 1
-        # Lists index faster than arrays; these working ones, of small counts
-        # and depths, are dropped once the passes are done, and so are the edges.
-        order, self._depth = self._topological_order(down_start, down, list(degree))
-        if len(order) < n:
-            done = set(order)
-            stuck = {t for t in range(n) if t not in done}
-            raise CycleDetectedError(self._find_cycle(up_start, up, stuck))
+            remaining[p] += 1
+        # Kahn's pass from the leaves: a term is released after all its
+        # children, so its height is final by then. On a cycle the order stops
+        # short: no term on or above it is released.
+        order = array("i", compress(range(n), map(not_, remaining)))
         height = [0] * n
-        for term in reversed(order):
+        for term in order:  # grows while it is walked
             h = height[term] + 1
             for p in up[up_start[term] : up_start[term + 1]]:
                 if height[p] < h:
                     height[p] = h
-        self._height = array("i", height)
+                remaining[p] -= 1
+                if not remaining[p]:
+                    order.append(p)
+        if len(order) < n:
+            raise CycleDetectedError(self._find_cycle(up_start, up))
+        # Reversed, the order puts every parent before its children.
+        depth = [0] * n
+        for term in reversed(order):
+            ps = up[up_start[term] : up_start[term + 1]]
+            if ps:
+                depth[term] = 1 + max(map(depth.__getitem__, ps))
+        self._depth, self._height = array("i", depth), array("i", height)
 
     @classmethod
     def _from_arrays(cls, prefix: str, names: list[str], arrays: list[array]) -> "OntologyGraph":
@@ -152,30 +158,26 @@ class OntologyGraph:
             setattr(graph, name, values)
         return graph
 
-    @staticmethod
-    def _topological_order(
-        down_start: array, down: array, remaining: list[int]
-    ) -> tuple[array, array]:
-        """Kahn's pass over term numbers, given their children and parent counts; also each depth.
+    def _find_cycle(self, up_start: array, up: array) -> list[str]:
+        """One is-a loop: from the least term on or below a cycle, its least such parent, and so on.
 
-        On a cycle the order stops short: no term on or below it is released.
+        Kahn's pass from the roots, over children lists built here, leaves
+        those terms unreleased. Every one of them has a parent among them, so
+        walking up such parents must revisit a term.
         """
-        n = len(remaining)
-        order = array("i", compress(range(n), map(not_, remaining)))
-        depth = [0] * n
+        n = len(self._names)
+        children: list[list[int]] = [[] for _ in range(n)]
+        for term in range(n):
+            for p in up[up_start[term] : up_start[term + 1]]:
+                children[p].append(term)
+        remaining = [up_start[t + 1] - up_start[t] for t in range(n)]
+        order = [t for t in range(n) if not remaining[t]]
         for term in order:  # grows while it is walked
-            d = depth[term] + 1
-            for child in down[down_start[term] : down_start[term + 1]]:
-                if depth[child] < d:
-                    depth[child] = d
+            for child in children[term]:
                 remaining[child] -= 1
                 if not remaining[child]:
                     order.append(child)
-        return order, array("i", depth)
-
-    def _find_cycle(self, up_start: array, up: array, stuck: set[int]) -> list[str]:
-        # Every stuck node has a parent inside the stuck set; walking up
-        # parent links must eventually revisit a node.
+        stuck = set(range(n)).difference(order)
         start = min(stuck)  # numbers are in id order, so this is the least id
         seen: dict[int, int] = {}
         path = [start]

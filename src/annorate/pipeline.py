@@ -20,6 +20,8 @@ share all of these.
 """
 
 import logging
+import os
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Callable
 
@@ -90,7 +92,7 @@ def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]
     corpus_dir = Path(corpus_dir)
     studies: list[StudyMetadata] = []
     failures: list[str] = []
-    for path in sorted(corpus_dir.rglob("i_*.txt")):
+    for path in _investigation_paths(corpus_dir):
         try:
             studies.extend(load_investigation(path))
         except (MalformedFileError, OSError) as exc:
@@ -108,6 +110,29 @@ def load_corpus(corpus_dir: str | Path) -> tuple[list[StudyMetadata], list[str]]
         else:
             first_source[study.study_id] = study.source_path
     return studies, failures
+
+
+def _investigation_paths(corpus_dir: Path) -> list[Path]:
+    """``sorted(corpus_dir.rglob("i_*.txt"))``, from one walk of ``os.scandir`` listings.
+
+    Every entry whose name matches, case-sensitively, at any depth: a file,
+    a directory or a symlink. Like ``rglob``, the walk never enters a
+    symlinked directory and skips a directory it cannot list.
+    """
+    found: list[str] = []
+    dirs = [os.fspath(corpus_dir)]
+    while dirs:
+        try:
+            with os.scandir(dirs.pop()) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        for entry in entries:
+            if fnmatchcase(entry.name, "i_*.txt"):
+                found.append(entry.path)
+            if entry.is_dir(follow_symlinks=False):
+                dirs.append(entry.path)
+    return sorted(map(Path, found))
 
 
 def process_study(metadata: StudyMetadata, resolver: AccessionResolver) -> EntryScore:

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annorate import _files, ontology
@@ -148,6 +148,17 @@ class TestLoadObo:
         cycle = err.value.cycle
         assert len(cycle) >= 2
         assert set(cycle) <= {"T:1", "T:2"}
+
+    def test_cycle_reported_from_the_terms_on_or_below_it(self):
+        """The loop starts at the least term on or below a cycle, not at the root above it.
+
+        T:1 is a root with the loop T:2 <-> T:3 below it, and T:4 below that.
+        Walking up from T:1 would find no parent, so the report starts at T:2.
+        """
+        parents = {"T:1": [], "T:2": ["T:1", "T:3"], "T:3": ["T:2"], "T:4": ["T:3"]}
+        with pytest.raises(CycleDetectedError) as err:
+            OntologyGraph("T", parents)
+        assert err.value.cycle == ["T:2", "T:3", "T:2"]
 
     def test_non_term_stanzas_ignored(self):
         content = "[Typedef]\nid: part_of\n\n" + CHAIN
@@ -487,6 +498,12 @@ def assert_same_graph(graph, expected):
 class TestOracle:
     @settings(max_examples=300, deadline=None)
     @given(obo_like_text(), st.integers(min_value=1, max_value=8))
+    # a root above a loop, and a leaf below it: the report starts on the loop
+    @example(
+        "[Term]\nid: T:1\n\n[Term]\nid: T:2\nis_a: T:1\nis_a: T:3\n\n"
+        "[Term]\nid: T:3\nis_a: T:2\n\n[Term]\nid: T:4\nis_a: T:3\n",
+        3,
+    )
     def test_stream_in_small_chunks_equals_oracle(self, content, chunk):
         expected = load_outcome(lambda: oracle_load_obo(content, "T"))
         with mock.patch.object(ontology, "CHUNK_CHARS", chunk):

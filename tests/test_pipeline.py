@@ -1,10 +1,12 @@
 """Catalog-backed resolution and the offline scoring pipeline."""
 
+import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from annorate import cli, ingest
+from annorate import cli, ingest, pipeline
 from annorate.accession import Resolution, classify_accession
 from annorate.isatab import AnnotationType, TermSlot
 from annorate.ontology import OntologyCatalog
@@ -86,6 +88,22 @@ class TestAccessionResolver:
         probing = AccessionResolver(catalog, prober=lambda ref: Resolution.BROKEN)
         for ref in (GO_LEAF, GO_MID, UNKNOWN_TERM, UNKNOWN_PREFIX):
             assert plain.score(ref) == probing.score(ref)
+
+
+def write_study(path, study_id):
+    """An investigation file at ``path`` whose one study is ``study_id``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        investigation_text(study_id=study_id, sections={AnnotationType.DESIGN: (["x"], [])}),
+        encoding="utf-8",
+    )
+
+
+def listed(corpus):
+    """The investigation files ``load_corpus`` reads under ``corpus``, checked against ``rglob``."""
+    paths = pipeline._investigation_paths(corpus)
+    assert paths == sorted(corpus.rglob("i_*.txt"))
+    return paths
 
 
 class TestLoadCorpus:
@@ -170,6 +188,89 @@ class TestLoadCorpus:
         (corpus / "s_samples.txt").write_text("Sample Name\tx\n", encoding="utf-8")
         studies, failures = load_corpus(corpus)
         assert studies == [] and failures == []
+
+    def test_symlinked_directory_is_not_entered(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        write_study(corpus / "real" / "i_Investigation.txt", "REAL")
+        write_study(tmp_path / "outside" / "i_Investigation.txt", "OUTSIDE")
+        (corpus / "inside_link").symlink_to(corpus / "real", target_is_directory=True)
+        (corpus / "outside_link").symlink_to(tmp_path / "outside", target_is_directory=True)
+        assert listed(corpus) == [corpus / "real" / "i_Investigation.txt"]
+        studies, failures = load_corpus(corpus)
+        assert [s.study_id for s in studies] == ["REAL"] and failures == []
+
+    def test_every_kind_of_entry_with_the_name_is_listed(self, tmp_path, caplog):
+        """A directory or a dangling symlink named ``i_*.txt`` is listed, then skipped."""
+        corpus = tmp_path / "corpus"
+        write_study(corpus / "i_x.txt" / "i_Investigation.txt", "NESTED")
+        write_study(tmp_path / "elsewhere.txt", "LINKED")
+        (corpus / "i_link.txt").symlink_to(tmp_path / "elsewhere.txt")
+        (corpus / "i_dangling.txt").symlink_to(tmp_path / "missing.txt")
+        write_study(corpus / "I_upper.txt", "UPPER")  # the match is case-sensitive
+        write_study(corpus / "i_lower.TXT", "LOWER")
+        assert listed(corpus) == [
+            corpus / "i_dangling.txt",
+            corpus / "i_link.txt",
+            corpus / "i_x.txt",
+            corpus / "i_x.txt" / "i_Investigation.txt",
+        ]
+        with caplog.at_level("WARNING", logger="annorate.pipeline"):
+            studies, failures = load_corpus(corpus)
+        assert [s.study_id for s in studies] == ["LINKED", "NESTED"]
+        skipped = [corpus / "i_dangling.txt", corpus / "i_x.txt"]
+        assert [f.split(": ", 1)[0] for f in failures] == list(map(str, skipped))
+        assert [r.getMessage().split(": ", 1)[0] for r in caplog.records] == [
+            f"skipping {path}" for path in skipped
+        ]
+        assert "Is a directory" in failures[1]
+
+    def test_relative_and_absolute_corpus_paths(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus"
+        write_study(corpus / "MTBLS1" / "i_Investigation.txt", "MTBLS1")
+        monkeypatch.chdir(corpus)
+        (study,), _ = load_corpus(".")
+        assert study.source_path == "MTBLS1/i_Investigation.txt"
+        assert listed(Path(".")) == [Path("MTBLS1", "i_Investigation.txt")]
+        monkeypatch.chdir(tmp_path)
+        (study,), _ = load_corpus("corpus")
+        assert study.source_path == "corpus/MTBLS1/i_Investigation.txt"
+        (study,), _ = load_corpus(corpus)
+        assert study.source_path == str(corpus / "MTBLS1" / "i_Investigation.txt")
+        assert listed(corpus) == [corpus / "MTBLS1" / "i_Investigation.txt"]
+
+    def test_sibling_directories_sort_as_paths(self, tmp_path):
+        """``a/`` sorts before ``a-b/`` and ``a.b/``, although "/" sorts after "-" and "."."""
+        corpus = tmp_path / "corpus"
+        for name in ("a.b", "a-b", "a"):
+            write_study(corpus / name / "i_Investigation.txt", name)
+        write_study(corpus / "a" / "i_a.txt", "a too")
+        assert listed(corpus) == [
+            corpus / "a" / "i_Investigation.txt",
+            corpus / "a" / "i_a.txt",
+            corpus / "a-b" / "i_Investigation.txt",
+            corpus / "a.b" / "i_Investigation.txt",
+        ]
+        studies, _ = load_corpus(corpus)
+        assert [s.study_id for s in studies] == ["a", "a too", "a-b", "a.b"]
+
+    def test_unlistable_directory_is_skipped_silently(self, tmp_path, monkeypatch, caplog):
+        corpus = tmp_path / "corpus"
+        write_study(corpus / "open" / "i_Investigation.txt", "OPEN")
+        write_study(corpus / "locked" / "i_Investigation.txt", "LOCKED")
+        scandir = os.scandir
+
+        def refuse_locked(path="."):
+            if os.path.basename(os.fspath(path)) == "locked":
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        # some Python versions bind os.scandir into pathlib at import, so rglob is not compared
+        monkeypatch.setattr(os, "scandir", refuse_locked)
+        assert pipeline._investigation_paths(corpus) == [corpus / "open" / "i_Investigation.txt"]
+        with caplog.at_level("WARNING", logger="annorate.pipeline"):
+            studies, failures = load_corpus(corpus)
+        assert [s.study_id for s in studies] == ["OPEN"]
+        assert failures == [] and caplog.records == []
 
 
 class TestProcessStudy:
