@@ -46,7 +46,7 @@ from .audit import DEFAULT_NEAR_DUP_THRESHOLD, Irregularity, audit_corpus, audit
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
-from .scoring import DomainError, EntryScore, TypeScore, log_transform
+from .scoring import EntryScore, TypeScore, log_transform
 
 log = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ def cmd_score(args) -> int:
 
 def cmd_stats(args) -> int:
     try:
-        entries = _read_entries(args.scores, args.score_column)
+        entries = _read_entries(args.scores)
     except OSError as exc:
         raise _Failure(EXIT_NO_INPUT, f"cannot read {exc.filename or args.scores}: {_reason(exc)}")
     except ValueError as exc:
@@ -254,10 +254,7 @@ def cmd_stats(args) -> int:
         raise _Failure(EXIT_NO_INPUT, f"no score rows in {args.scores}")
     said = ""  # standard output's lines, written after the reports
     if args.log_base_check:
-        try:
-            mismatches = _log_base_mismatches(entries)
-        except DomainError as exc:
-            raise _Failure(EXIT_NO_INPUT, f"log-base check: {exc}")
+        mismatches = _log_base_mismatches(entries)
         _console(sys.stderr, "".join(f"log-base check: {study_id} {column} inconsistent\n"
                                      for study_id, column in mismatches))
         if not mismatches:
@@ -498,31 +495,20 @@ def _log_base_mismatches(entries: list[EntryScore]) -> list[tuple[str, str]]:
             ("log_annotations", entry.global_annotations, entry.log_annotations),
         )
         for column, score, logged in pairs:
-            try:
-                expected = log_transform(score)
-            except DomainError as exc:
-                raise DomainError(f"{entry.study_id} {column}: {exc}") from exc
-            if abs(expected - logged) > 1e-6:
+            if abs(log_transform(score) - logged) > 1e-6:
                 mismatches.append((entry.study_id, column))
     return mismatches
 
 
-def _finite(cell: str) -> float:
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite score {cell!r}")
-    return value
-
-
-def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
+def _read_entries(scores_path: Path) -> list[EntryScore]:
     """Rebuild entry scores from scores.tsv (plus scores.json when present).
 
     Rows and records that share a study id are paired in file order: the
     k-th row of an id takes the per-type scores of the k-th record of that
     id. Raises ``ValueError`` when line 1 is not the ``SCORES_TSV_COLUMNS``
-    header, naming the row on a wrong number of cells, a non-numeric or
-    non-finite cell or a ``histogram_column`` value outside [0, 100], and
-    naming the record on a malformed scores.json record (see
+    header, naming the row on a wrong number of cells, a non-numeric cell
+    or a score outside [0, 100] (a NaN or an infinity included), and naming
+    the record on a malformed scores.json record (see
     :func:`_read_per_type`). Raises ``OSError`` when a file cannot be read.
     A byte order mark opening either file is dropped.
     """
@@ -546,15 +532,16 @@ def _read_entries(scores_path: Path, histogram_column: str) -> list[EntryScore]:
             entry = EntryScore(
                 study_id=study_id,
                 per_type=per_type.pop(0) if per_type else {},
-                global_terms=_finite(cells[2]),
-                log_terms=_finite(cells[3]),
-                global_annotations=_finite(cells[4]),
-                log_annotations=_finite(cells[5]),
+                global_terms=float(cells[2]),
+                log_terms=float(cells[3]),
+                global_annotations=float(cells[4]),
+                log_annotations=float(cells[5]),
                 total_annotations=int(cells[1]),
             )
-            value = getattr(entry, histogram_column)
-            if not 0.0 <= value <= 100.0:
-                raise ValueError(f"{histogram_column} {value} outside [0, 100]")
+            for column in corpus_mod.SCORE_COLUMNS:
+                value = getattr(entry, column)
+                if not 0.0 <= value <= 100.0:
+                    raise ValueError(f"{column} {value} outside [0, 100]")
         except ValueError as exc:
             raise ValueError(f"line {line_number} ({study_id}): {exc}") from exc
         entries.append(entry)
@@ -569,7 +556,8 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
 
     Raises ``ValueError`` naming the record (its study id, or its position
     when it has none) and the key when the record is not an object, lacks a
-    key, names an unknown type, or holds a value of the wrong JSON kind; and
+    key, names an unknown type, holds a value of the wrong JSON kind, or
+    holds a ``by_annotations`` or ``by_terms`` outside [0, 1]; and
     naming the file when it is nested too deeply to decode, or is not UTF-8
     or not JSON (then with the codec's or ``json``'s own message).
     """
@@ -599,6 +587,9 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
                         for key, kind in _TYPE_SCORE_FIELDS
                     }
                 )
+                for key in ("by_annotations", "by_terms"):
+                    if not 0.0 <= ts[key] <= 1.0:
+                        raise ValueError(f"{type_name} {key} {ts[key]} outside [0, 1]")
             per_type_by_study.setdefault(study_id, []).append(types)
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None

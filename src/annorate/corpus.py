@@ -14,21 +14,14 @@ annotation-vs-term weighting gap over entries with at least one annotation
 anywhere. Boxplot quartiles use the median-exclusive (Tukey) method so
 outputs are reproducible bit for bit.
 
-Every sum is taken in one fixed pairwise order (Higham, *The accuracy of
-floating point summation*, SIAM J. Sci. Comput. 1993): fewer than 8 values
-are added in order from 0.0; 8 to 128 values are added in 8 interleaved
-lanes, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
-remainder is added in order; longer lists are split at half their length
-rounded down to a multiple of 8, and each half is summed the same way.
-This is the order of the usual float64 array reduction, so the mean, the
-standard deviation and the gaps equal an array library's bit for bit, and
-``stats`` need not import one: that import alone would be about half of a
-run.
+Every sum is correctly rounded: :func:`math.fsum` returns the exact sum of
+its values rounded once (Shewchuk, *Adaptive Precision Floating-Point
+Arithmetic*, Discrete Comput. Geom. 1997). So the mean, the standard
+deviation and the gaps depend neither on the order of the entries nor on
+the Python version, and ``stats`` needs no array library.
 """
 
-from functools import reduce
-from math import sqrt
-from operator import add
+from math import fsum, sqrt
 from typing import NamedTuple
 
 from .isatab import SCORED_TYPES, AnnotationType
@@ -66,15 +59,21 @@ class Distribution(NamedTuple):
 
 
 def corpus_stats(entries: list[EntryScore], column: str = "log_terms") -> CorpusStats:
-    """Mean, sample std dev, max, annotated minimum and % above mean."""
+    """Mean, sample std dev, max, annotated minimum and % above mean.
+
+    The mean and the standard deviation come from correctly rounded sums, so
+    they are the same for every order of ``entries``. Raises
+    ``OverflowError`` when a sum overflows a float, as two values of 1e308
+    do; scores in their [0, 100] domain never do.
+    """
     _check_column(column)
     if not entries:
         raise EmptyCorpusError("no entries")
     values = [float(getattr(e, column)) for e in entries]
     n = len(values)
-    mean = _pairwise_sum(values) / n
+    mean = fsum(values) / n
     squares = [(v - mean) * (v - mean) for v in values]
-    std_dev = sqrt(_pairwise_sum(squares) / (n - 1)) if n > 1 else 0.0
+    std_dev = sqrt(fsum(squares) / (n - 1)) if n > 1 else 0.0
     annotated = [getattr(e, column) for e in entries if e.total_annotations >= 1]
     return CorpusStats(
         n=n,
@@ -91,8 +90,11 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
 
     Zero-annotation entries appear in the histogram but are excluded from
     boxplots and weighting gaps. Types for which no entry carries per-type
-    detail are absent from the boxplot and gap maps. Raises ``ValueError``
-    naming the entry when a ``column`` value lies outside [0, 100].
+    detail are absent from the boxplot and gap maps. Each gap is the
+    correctly rounded mean of its differences, the same for every order of
+    ``entries``. Raises ``ValueError`` naming the entry when a ``column``
+    value lies outside [0, 100], and ``OverflowError`` when a gap's sum
+    overflows a float; per-type scores in [0, 1] never do.
     """
     _check_column(column)
     if not entries:
@@ -127,31 +129,11 @@ def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distri
             if annotation_type in e.per_type
         ]
         if diffs:
-            gaps[annotation_type] = 100.0 * (_pairwise_sum(diffs) / len(diffs))
+            gaps[annotation_type] = 100.0 * (fsum(diffs) / len(diffs))
 
     return Distribution(
         histogram=histogram, per_type_boxplot=boxplots, avg_weighting_gap=gaps
     )
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum ``values`` in the pairwise order of the module docstring.
-
-    Each lane starts from 0.0 rather than from its first value; that can
-    change only the sign of a zero sum, and the array reduction adds its
-    0.0 identity to its total too, so signed zeros agree as well.
-    """
-    n = len(values)
-    if n < 8:
-        return reduce(add, values, 0.0)
-    if n <= 128:
-        m = n - n % 8
-        r = [reduce(add, values[lane:m:8], 0.0) for lane in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[m:], total)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def _check_column(column: str) -> None:

@@ -548,15 +548,26 @@ class TestStats:
 
 
     @pytest.mark.parametrize("log_base_check", [False, True])
-    @pytest.mark.parametrize("cell", ["-5.0000000", "100.5000000"])
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            # an id names the column unless it is log_terms, the default histogram column
+            pytest.param(column, cell, id=cell if column == "log_terms" else f"{column}-{cell}")
+            for column in ("global_terms", "log_terms", "global_annotations", "log_annotations")
+            for cell in ("-5.0000000", "100.5000000", "1e308")
+        ],
+    )
     def test_histogram_value_out_of_range_exits_with_row(
-        self, tmp_path, capsys, cell, log_base_check
+        self, tmp_path, capsys, column, cell, log_base_check
     ):
+        row = {"global_terms": "75.0000000", "log_terms": "80.7354922",
+               "global_annotations": "75.0000000", "log_annotations": "80.7354922"}
+        good = "\t".join(row.values())
+        row[column] = cell
+        bad = "\t".join(row.values())
         scores = tmp_path / "scores.tsv"
         scores.write_text(
-            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
-            "MTBLS1\t4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n"
-            f"MTBLS2\t4\t75.0000000\t{cell}\t75.0000000\t80.7354922\n",
+            "\t".join(cli.SCORES_TSV_COLUMNS) + f"\nMTBLS1\t4\t{good}\nMTBLS2\t4\t{bad}\n",
             encoding="utf-8",
         )
         argv = ["stats", "--scores", str(scores), "--out", str(tmp_path / "o")]
@@ -564,8 +575,8 @@ class TestStats:
         assert code == cli.EXIT_NO_INPUT
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert "line 3" in err and "MTBLS2" in err and "outside [0, 100]" in err
-        assert not (tmp_path / "o" / "hist.tsv").exists()
+        assert f"line 3 (MTBLS2): {column} {float(cell)} outside [0, 100]" in err
+        assert not (tmp_path / "o").exists()
 
     def test_score_of_100_lands_in_last_bin(self, tmp_path):
         scores = tmp_path / "scores.tsv"
@@ -596,6 +607,14 @@ class TestStats:
             (
                 {"Design": dict(GOOD_TYPE_SCORE, by_terms=True)},
                 "Design by_terms is True, not a finite number",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, by_annotations=1e308)},
+                "Design by_annotations 1e+308 outside [0, 1]",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, by_terms=-0.5)},
+                "Design by_terms -0.5 outside [0, 1]",
             ),
         ],
     )

@@ -2,8 +2,9 @@
 
 import math
 import random
+from fractions import Fraction
+from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,23 +53,30 @@ def reference_entries():
     ]
 
 
-def _numpy_stats(entries, column):
-    """The statistics as numpy computes them: the oracle for the pairwise sums."""
-    values = np.array([getattr(e, column) for e in entries], dtype=float)
-    mean = float(values.mean())
+def _exact_sum(values):
+    """The exact rational sum of ``values``, rounded once to a float."""
+    return float(sum(map(Fraction, values)))
+
+
+def _exact_stats(entries, column):
+    """The statistics with every sum exact and rounded once: the oracle for the sums."""
+    values = [float(getattr(e, column)) for e in entries]
+    n = len(values)
+    mean = _exact_sum(values) / n
+    squares = [(v - mean) * (v - mean) for v in values]
     annotated = [getattr(e, column) for e in entries if e.total_annotations >= 1]
     return CorpusStats(
-        n=len(values),
+        n=n,
         mean=mean,
-        std_dev=float(values.std(ddof=1)) if len(values) > 1 else 0.0,
-        max=float(values.max()),
+        std_dev=math.sqrt(_exact_sum(squares) / (n - 1)) if n > 1 else 0.0,
+        max=max(values),
         min_annotated=min(annotated) if annotated else None,
-        pct_above_mean=100.0 * int((values > mean).sum()) / len(values),
+        pct_above_mean=100.0 * sum(v > mean for v in values) / n,
     )
 
 
-def _numpy_gaps(entries):
-    """Average weighting gap per type as numpy computes it."""
+def _exact_gaps(entries):
+    """Average weighting gap per type, each sum exact and rounded once."""
     gaps = {}
     for annotation_type in SCORED_TYPES:
         diffs = [
@@ -78,7 +86,7 @@ def _numpy_gaps(entries):
             if e.total_annotations >= 1 and annotation_type in e.per_type
         ]
         if diffs:
-            gaps[annotation_type] = 100.0 * float(np.mean(diffs))
+            gaps[annotation_type] = 100.0 * (_exact_sum(diffs) / len(diffs))
     return gaps
 
 
@@ -87,7 +95,7 @@ def _bits(values):
     return [repr(v) for v in values]
 
 
-#: Sizes on both sides of the 8-lane, 128-value block and split boundaries.
+#: Entry counts from 1 to 3,000, with some fixed counts drawn often.
 _SIZES = st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 137, 255, 256,
                           257, 300, 1000, 2049]) | st.integers(1, 3000)
 
@@ -188,12 +196,30 @@ class TestCorpusStats:
         with pytest.raises(ValueError):
             corpus_stats([make_entry("A")], "nope")
 
-    def test_permutation_invariant(self):
-        entries = [
-            make_entry(f"E{i}", log_terms=v, total_annotations=1)
-            for i, v in enumerate([5.0, 30.0, 30.0, 80.0, 12.5])
-        ]
-        assert corpus_stats(entries) == corpus_stats(list(reversed(entries)))
+    @settings(max_examples=50, deadline=None)
+    @given(_SIZES, st.integers(0, 2**32))
+    def test_permutation_invariant(self, n, seed):
+        rnd = random.Random(seed)
+        entries = _draw_entries(rnd, n)
+        shuffled = rnd.sample(entries, n)
+        for column in SCORE_COLUMNS:
+            assert _bits(corpus_stats(shuffled, column)) == _bits(corpus_stats(entries, column))
+        gaps, shuffled_gaps = (distribution(e).avg_weighting_gap for e in (entries, shuffled))
+        assert list(shuffled_gaps) == list(gaps)
+        assert _bits(shuffled_gaps.values()) == _bits(gaps.values())
+
+    def test_mean_is_correctly_rounded_in_every_order(self):
+        # adding left to right gives ...32 in four of the six orders
+        values = (23.90659, 91.09859, 75.15682)
+        for order in permutations(values):
+            entries = [make_entry(f"E{i}", log_terms=v) for i, v in enumerate(order)]
+            assert corpus_stats(entries).mean == 63.38733333333334
+            assert _bits(corpus_stats(entries)) == _bits(_exact_stats(entries, "log_terms"))
+
+    def test_overflowing_sum_raises(self):
+        entries = [make_entry(f"E{i}", log_terms=1e308) for i in range(2)]
+        with pytest.raises(OverflowError):
+            corpus_stats(entries)
 
     def test_appending_mean_value_entry(self):
         entries = [
@@ -208,16 +234,14 @@ class TestCorpusStats:
 
     @settings(max_examples=100, deadline=None)
     @given(_SIZES, st.integers(0, 2**32))
-    def test_equals_numpy_oracle_bit_for_bit(self, n, seed):
+    def test_equals_exact_sum_oracle_bit_for_bit(self, n, seed):
         # a seeded generator, not st.randoms(): hypothesis would record
         # each of the tens of thousands of draws
         entries = _draw_entries(random.Random(seed), n)
         for column in SCORE_COLUMNS:
-            assert _bits(tuple(corpus_stats(entries, column))) == _bits(
-                tuple(_numpy_stats(entries, column))
-            )
+            assert _bits(corpus_stats(entries, column)) == _bits(_exact_stats(entries, column))
         gaps = distribution(entries).avg_weighting_gap
-        expected = _numpy_gaps(entries)
+        expected = _exact_gaps(entries)
         assert list(gaps) == list(expected)
         assert _bits(gaps.values()) == _bits(expected.values())
 
