@@ -9,12 +9,12 @@ and scorable:
 Any other syntactically valid absolute URL is a non-PURL link: it is kept in
 the metadata as an unannotated term, excluded from scoring and listed by the
 audit. Strings that are not URLs at all are malformed. Classification is a
-total function over strings and never performs I/O.
+total function over strings and never performs I/O. The program calls it only
+through :func:`annorate.scoring.annotation_ref`, which memoizes it.
 """
 
 import re
 from enum import Enum
-from functools import cache
 from typing import NamedTuple
 from urllib.parse import urlparse
 
@@ -27,7 +27,7 @@ class AccessionKind(Enum):
 
 
 #: The two PURL kinds. Bound once: on Python 3.10 and 3.11 each lookup of an
-#: enum member costs ~0.2 µs, and ``score`` asks every accession slot.
+#: enum member costs ~0.2 µs.
 _SCORABLE_KINDS = (AccessionKind.OBO_PURL, AccessionKind.BIOPORTAL_PURL)
 
 
@@ -67,7 +67,6 @@ class AccessionRef(NamedTuple):
         return f"{self.ontology_prefix}:{self.local_id}"
 
 
-@cache
 def classify_accession(raw: str) -> AccessionRef:
     """Classify an accession string into one of the four accession kinds.
 
@@ -75,14 +74,6 @@ def classify_accession(raw: str) -> AccessionRef:
     (mixed-case prefixes like NCBITaxon are preserved). HTTPS is accepted as
     equivalent to HTTP. Problems are encoded in the returned ``kind``; this
     never raises.
-
-    The function is memoized: each distinct string is classified once per
-    process and every later call returns the same ``AccessionRef``, an
-    immutable named tuple.
-    A corpus repeats its URLs across slots and studies, so ``score`` and
-    ``audit`` pay one classification per distinct URL, not one per slot.
-    The memo grows with the distinct strings seen, which for a batch run is
-    bounded by its input.
     """
     m = _OBO_PURL_RE.match(raw)
     if m:

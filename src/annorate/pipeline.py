@@ -10,13 +10,14 @@ A run does the costly work of each distinct cell, slot and accession URL
 once, however often it repeats. The parse cleans each distinct cell once and
 makes equal (label, accession) pairs one shared :class:`~annorate.isatab.TermSlot`
 (see :mod:`annorate.isatab`). Each distinct URL costs one classification
-(``classify_accession`` is memoized), one catalog lookup and at most one
-probe (one :class:`AccessionResolver` serves the whole run and remembers,
-per URL, both the depth metrics and the resolution outcome), and one
-encoding of the URL's report fields (:func:`annotation_fields`). The
-``scores.json`` writer encodes each distinct annotation record, a slot
-with those fields, once. Scoring, the per-annotation report and the audit
-share all of these.
+(:func:`~annorate.scoring.annotation_ref`, the memoized test of what an
+annotation is), one catalog lookup and at most one probe (one
+:class:`AccessionResolver` serves the whole run and remembers, per URL,
+both the depth metrics and the resolution outcome), and one encoding of
+the URL's report fields (:func:`annotation_fields`). The ``scores.json``
+writer walks each study's slots through the same test and encodes each
+distinct annotation record, a slot with those fields, once. Scoring, the
+per-annotation report and the audit share all of these.
 """
 
 import logging
@@ -30,7 +31,7 @@ from typing import Callable
 from .accession import AccessionRef, Resolution, classify_accession  # noqa: F401
 from .isatab import SCORED_TYPES, MalformedFileError, StudyMetadata, load_investigation
 from .ontology import DepthMetrics, OntologyCatalog
-from .scoring import EntryScore, score_entry
+from .scoring import EntryScore, annotation_ref, score_entry
 
 log = logging.getLogger(__name__)
 
@@ -159,17 +160,18 @@ def annotation_fields(ref: AccessionRef, resolver: AccessionResolver) -> dict:
 
 
 def annotation_details(
-    score: EntryScore, resolver: AccessionResolver
+    study: StudyMetadata, resolver: AccessionResolver
 ) -> dict[str, list[dict]]:
-    """Per-annotation records of ``score``, as ``scores.json`` holds them.
+    """Per-annotation records of ``study``, as ``scores.json`` holds them.
 
-    One record per annotation that ``score``'s tallies kept, in slot order:
-    its ``label``, then its :func:`annotation_fields`.
+    One record per annotation of each scored type, in slot order: its
+    ``label``, then its :func:`annotation_fields`.
     """
     return {
         annotation_type.value: [
             {"label": slot.label, **annotation_fields(ref, resolver)}
-            for slot, ref in score.per_type[annotation_type].annotations
+            for slot in study.slots.get(annotation_type, ())
+            if (ref := annotation_ref(slot.accession)) is not None
         ]
         for annotation_type in SCORED_TYPES
     }

@@ -14,10 +14,14 @@ scored types' values, always over the fixed denominator of four. The log
 transform ``100 * log2(1 + score/100)`` compresses the upper range to favour
 entries with relatively few annotations; it is strictly increasing, so
 rankings are preserved.
+
+:func:`annotation_ref`, memoized per accession string, is the one test of
+what an annotation is: the tally, the ``scores.json`` writer and the audit
+all ask it, so each distinct string is classified once per process.
 """
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import Callable, Iterable, NamedTuple
 
@@ -38,22 +42,6 @@ class TypeScore(NamedTuple):
     score_sum: float
     by_annotations: float
     by_terms: float
-    #: The (slot, classified accession) pair of each annotation, in slot order.
-    #: Empty on scores rebuilt from report files; ignored by equality, hashing
-    #: and repr, which all read the fields before it.
-    annotations: tuple[tuple[TermSlot, AccessionRef], ...] = ()
-
-    def __eq__(self, other):
-        return self[:-1] == other[:-1] if isinstance(other, TypeScore) else NotImplemented
-
-    def __ne__(self, other):
-        return self[:-1] != other[:-1] if isinstance(other, TypeScore) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
-
-    def __repr__(self) -> str:
-        return "TypeScore(" + ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[:-1])) + ")"
 
 
 class EntryScore(NamedTuple):
@@ -76,39 +64,43 @@ def log_transform(score: float) -> float:
     return 100.0 * math.log2(1.0 + score / 100.0)
 
 
+@cache
+def annotation_ref(accession: str) -> AccessionRef | None:
+    """The classified ``accession`` when it is a scorable PURL, else None.
+
+    A slot is an annotation exactly when this returns a reference for its
+    accession. Memoized: a corpus repeats its URLs across slots and studies,
+    and the memo holds one entry per distinct string seen, which for a batch
+    run is bounded by its input.
+    """
+    ref = classify_accession(accession)
+    return ref if ref.is_scorable else None
+
+
 def type_tally(slots: Iterable[TermSlot], scorer: Scorer) -> TypeScore:
     """Tally one annotation type's slots into counts and weighted scores.
 
     Non-PURL and malformed accessions are not annotations; their slots count
     as unannotated terms when they carry a label. The scorer is consulted
-    once per scorable accession and must return a value in [0, 1]
-    (unresolvable terms score 0; they still count as annotations).
+    once per annotation and must return a value in [0, 1] (unresolvable
+    terms score 0; they still count as annotations).
     """
-    annotations = []
+    annotation_count = 0
     term_count = 0
     score_sum = 0.0
     for slot in slots:
-        ref = classify_accession(slot.accession) if slot.accession else None
-        scorable = ref is not None and ref.is_scorable
-        if slot.label or scorable:
+        ref = annotation_ref(slot.accession)
+        if slot.label or ref is not None:
             term_count += 1
-        if scorable:
-            annotations.append((slot, ref))
+        if ref is not None:
+            annotation_count += 1
             score = scorer(ref)
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"scorer returned {score!r} for {ref.raw!r}")
             score_sum += score
-    annotation_count = len(annotations)
     by_annotations = score_sum / annotation_count if annotation_count else 0.0
     by_terms = score_sum / term_count if term_count else 0.0
-    return TypeScore(
-        annotation_count=annotation_count,
-        term_count=term_count,
-        score_sum=score_sum,
-        by_annotations=by_annotations,
-        by_terms=by_terms,
-        annotations=tuple(annotations),
-    )
+    return TypeScore(annotation_count, term_count, score_sum, by_annotations, by_terms)
 
 
 def score_entry(metadata: StudyMetadata, scorer: Scorer) -> EntryScore:

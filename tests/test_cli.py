@@ -323,10 +323,13 @@ class TestScore:
                for line in (out / "scores.tsv").read_text().splitlines()[1:]]
         assert ids == ["MTBLS95", "MTBLS0"]
 
-    def test_classifies_each_scored_accession_slot_once(self, tmp_path, monkeypatch):
+    def test_classifies_each_distinct_accession_once_across_score_and_audit(
+        self, tmp_path, monkeypatch
+    ):
         corpus = tmp_path / "corpus"
         write_study(corpus, "MTBLS1", investigation_text(study_id="MTBLS1", sections=MIXED_SLOTS))
         write_study(corpus, "MTBLS2", mtbls95_investigation())
+        write_study(corpus, "MTBLS3", mtbls95_investigation().replace("MTBLS95", "MTBLS3"))
         calls = []
 
         def counting(raw):
@@ -335,16 +338,21 @@ class TestScore:
 
         for module in (accession, audit, pipeline, scoring):
             monkeypatch.setattr(module, "classify_accession", counting)
-        assert run_cli(["score", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 0
+        scoring.annotation_ref.cache_clear()
+        args = ["--corpus", str(corpus), "--out", str(tmp_path / "o")]
+        assert run_cli(["score", *args]) == 0
         studies, _ = load_corpus(corpus)
-        expected = [
-            slot.accession
-            for study in studies
-            for t in SCORED_TYPES
-            for slot in study.slots[t]
-            if slot.accession
-        ]
-        assert sorted(calls) == sorted(expected)
+
+        def accessions(types):  # every slot's accession string, the empty one included
+            return {slot.accession for study in studies for t in types
+                    for slot in study.slots.get(t, ())}
+
+        # every scored type's string, "" included, and no Person accession
+        assert sorted(calls) == sorted(accessions(SCORED_TYPES))
+        assert run_cli(["audit", *args]) == 0
+        # the audit classifies only the non-empty Person strings, which score never read
+        person = accessions([AnnotationType.PERSON]) - accessions(SCORED_TYPES) - {""}
+        assert person and sorted(calls) == sorted(accessions(SCORED_TYPES) | person)
 
     def test_never_audits(self, mtbls95_corpus, tmp_path, monkeypatch):
         calls = []
@@ -578,6 +586,20 @@ class TestStats:
         assert f"line 3 (MTBLS2): {column} {float(cell)} outside [0, 100]" in err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_total_annotations_exits_with_row(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "\t".join(cli.SCORES_TSV_COLUMNS) + "\n"
+            "MTBLS1\t-4\t75.0000000\t80.7354922\t75.0000000\t80.7354922\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == (
+            f"bad score row in {scores}: line 2 (MTBLS1): total_annotations -4 outside [0, inf]\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_score_of_100_lands_in_last_bin(self, tmp_path):
         scores = tmp_path / "scores.tsv"
         scores.write_text(
@@ -615,6 +637,18 @@ class TestStats:
             (
                 {"Design": dict(GOOD_TYPE_SCORE, by_terms=-0.5)},
                 "Design by_terms -0.5 outside [0, 1]",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, annotation_count=-7)},
+                "Design annotation_count -7 outside [0, inf]",
+            ),
+            (
+                {"Assay": dict(GOOD_TYPE_SCORE, term_count=-2)},
+                "Assay term_count -2 outside [0, inf]",
+            ),
+            (
+                {"Design": dict(GOOD_TYPE_SCORE, score_sum=-0.5)},
+                "Design score_sum -0.5 outside [0, inf]",
             ),
         ],
     )
@@ -1266,10 +1300,10 @@ class TestJsonWriter:
                 annotations = fields.pop("annotations")
                 per_type = score.per_type[annotation_type]
                 assert typed(fields) == typed(
-                    {key: getattr(per_type, key) for key, _ in cli._TYPE_SCORE_FIELDS}
+                    {key: getattr(per_type, key) for key, *_ in cli._TYPE_SCORE_FIELDS}
                 )
                 assert len(annotations) == per_type.annotation_count
-            for type_name, annotations in annotation_details(score, resolver).items():
+            for type_name, annotations in annotation_details(study, resolver).items():
                 record["types"][type_name]["annotations"] = annotations
         assert written == (json.dumps(records, indent=2) + "\n").encode()
 
@@ -1523,19 +1557,14 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
 
-    def test_type_score_equality_hash_and_repr_ignore_annotations(self):
-        annotations = ((TermSlot("label", GO_URL), classify_accession(GO_URL)),)
-        bare = TypeScore(1, 2, 0.5, 0.5, 0.25)
-        tallied = TypeScore(1, 2, 0.5, 0.5, 0.25, annotations)
-        assert tallied.annotations == annotations
-        assert bare == tallied and not bare != tallied
-        assert hash(bare) == hash(tallied)
-        assert repr(tallied) == repr(bare) == (
-            "TypeScore(annotation_count=1, term_count=2, score_sum=0.5,"
-            " by_annotations=0.5, by_terms=0.25)"
+    def test_type_score_is_the_five_report_fields(self):
+        assert TypeScore._fields == tuple(key for key, *_ in cli._TYPE_SCORE_FIELDS) == (
+            "annotation_count", "term_count", "score_sum", "by_annotations", "by_terms"
         )
-        other = TypeScore(1, 2, 0.5, 0.5, 0.5, annotations)
-        assert other != tallied and not other == tallied
+        base = TypeScore(1, 2, 0.5, 0.5, 0.25)
+        for name in TypeScore._fields:
+            other = base._replace(**{name: getattr(base, name) + 1})
+            assert other != base and not other == base, name
 
     def test_study_metadata_gets_a_fresh_warnings_list(self):
         first, second = StudyMetadata("A", {}), StudyMetadata("A", {})

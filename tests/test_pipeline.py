@@ -291,7 +291,7 @@ class TestProcessStudy:
             mtbls95_investigation(), encoding="utf-8"
         )
         (study,), _ = load_corpus(corpus)
-        details = annotation_details(process_study(study, resolver), resolver)
+        details = annotation_details(study, resolver)
         design = details["Design"]
         assert len(design) == 6
         assert design[0]["score"] == 1.0
