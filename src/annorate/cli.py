@@ -35,6 +35,7 @@ import os
 import reprlib
 import sys
 from collections.abc import Iterable
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -377,28 +378,22 @@ def _write_scores_json(out: TextIO, scored, resolver) -> None:
     :func:`_json_list`. A type's annotations are the study's own slots of
     that type in which :func:`annotation_ref` finds one, in slot order. An
     annotation record is its ``label`` followed by the fields that
-    :func:`annotation_fields` derives from its accession URL alone. Those
-    fields are encoded once per distinct URL, and a whole annotation record
-    once per distinct slot (equal slots are one object, see
-    :mod:`annorate.isatab`), then copied wherever it repeats; the
-    annotation dicts of :func:`annotation_details` are never built.
+    :func:`annotation_fields` derives from its accession URL alone. One memo,
+    kept for this run and keyed by the slot alone, encodes each distinct
+    slot's record once (equal slots are one object, see
+    :mod:`annorate.isatab`), and a repeat reuses that text; the annotation
+    dicts of :func:`annotation_details` are never built.
     """
-    url_fields: dict[str, str] = {}  # URL -> its encoded fields, after the label
-    annotation_texts: dict[TermSlot, str] = {}  # slot -> its encoded annotation record
 
-    def annotation_text(slot: TermSlot, ref) -> str:
-        text = annotation_texts.get(slot)
-        if text is None:
-            fields = url_fields.get(ref.raw)
-            if fields is None:
-                fields = url_fields[ref.raw] = "".join(
-                    f',\n            "{key}": {_json_scalar(value)}'
-                    for key, value in annotation_fields(ref, resolver).items()
-                )
-            text = annotation_texts[slot] = f"""{{
+    @cache
+    def annotation_text(slot: TermSlot) -> str:
+        fields = "".join(
+            f',\n            "{key}": {_json_scalar(value)}'
+            for key, value in annotation_fields(annotation_ref(slot.accession), resolver).items()
+        )
+        return f"""{{
             "label": {_json_scalar(slot.label)}{fields}
           }}"""
-        return text
 
     _write_json_list(
         out, (_score_record(study, score, annotation_text) for study, score in scored)
@@ -411,9 +406,9 @@ def _score_record(study: StudyMetadata, score: EntryScore, annotation_text) -> s
     for annotation_type in SCORED_TYPES:
         ts = score.per_type[annotation_type]
         annotations = [
-            annotation_text(slot, ref)
+            annotation_text(slot)
             for slot in study.slots.get(annotation_type, ())
-            if (ref := annotation_ref(slot.accession)) is not None
+            if annotation_ref(slot.accession) is not None
         ]
         blocks.append(f"""\
 "{annotation_type.value}": {{

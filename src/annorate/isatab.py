@@ -9,9 +9,9 @@ cell *i* of its accession row; when the accession row is shorter, the
 unmatched trailing labels become unannotated terms.
 
 Files may contain several ``STUDY`` blocks; each block parses into its own
-:class:`StudyMetadata`. A ``STUDY`` row with no other non-empty cell opens a
-block. Rows before the first such header belong to no study; a file
-without one is a single block.
+:class:`StudyMetadata`, an immutable value built whole. A ``STUDY`` row
+with no other non-empty cell opens a block. Rows before the first such
+header belong to no study; a file without one is a single block.
 
 Each file is read in one pass over its lines. A line's first cell is
 cleaned (whitespace and one pair of enclosing quotes stripped) and looked
@@ -25,12 +25,13 @@ distinct one once per process. Cleaning is memoized, so a distinct cell is
 cleaned once. Each slot comes from one memoized constructor, so equal
 (label, accession) pairs anywhere in the input, within a study, across
 types or across files, are one shared immutable :class:`TermSlot`, with
-one label and one accession string. Like those of ``classify_accession``,
-both memos grow with the distinct cells seen, which for a batch run is
-bounded by its input.
+one label and one accession string. Like the memo of
+:func:`~annorate.scoring.annotation_ref`, both grow with the distinct cells
+seen, which for a batch run is bounded by its input.
 """
 
 import re
+from collections.abc import Sequence
 from enum import Enum
 from functools import cache
 from itertools import starmap, zip_longest
@@ -91,33 +92,21 @@ class TermSlot(NamedTuple):
     accession: str = ""
 
 
-class StudyMetadata:
-    """Per-study term slots keyed by annotation type.
+class StudyMetadata(NamedTuple):
+    """Per-study term slots keyed by annotation type, built whole by the parse.
 
     Every :class:`AnnotationType` key is always present, possibly with an
     empty list. ``warnings`` records non-fatal parse issues (duplicate field
-    rows, encoding repairs). The fields stay assignable: a loader sets
-    ``source_path`` and ``warnings`` after the parse.
+    rows, encoding repairs); the parse gives each study its own list, and a
+    study built by hand has none. Like every other record, a study is an
+    immutable value: :func:`load_investigation` adds its path and the file's
+    warnings by ``_replace``.
     """
 
-    __slots__ = ("study_id", "slots", "source_path", "warnings")
-
-    def __init__(
-        self, study_id: str, slots: dict, source_path: str = "", warnings: list[str] | None = None
-    ):
-        self.study_id = study_id
-        self.slots = slots
-        self.source_path = source_path
-        self.warnings = [] if warnings is None else warnings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
+    study_id: str
+    slots: dict
+    source_path: str = ""
+    warnings: Sequence[str] = ()
 
 
 def parse_investigation(content: str, source_name: str = "") -> list[StudyMetadata]:
@@ -194,10 +183,8 @@ def load_investigation(path: str | Path) -> list[StudyMetadata]:
         warnings.append(f"unsafe characters of the path name {source_name!r} replaced")
     studies = parse_investigation(content, safe_name)
     source_path = re.sub("[\ud800-\udfff]", "\ufffd", str(path))
-    for study in studies:
-        study.source_path = source_path
-        study.warnings = warnings + study.warnings
-    return studies
+    return [study._replace(source_path=source_path, warnings=warnings + study.warnings)
+            for study in studies]
 
 
 @cache

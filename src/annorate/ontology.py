@@ -323,14 +323,17 @@ def _load_cached(obo_path: Path, prefix: str) -> OntologyGraph:
     A parsed graph is stored for the next run. The cache never changes the
     result: whatever goes wrong with it (no home directory, an unwritable
     or full disk, a damaged entry) only means a parse. A file that fails to
-    load raises as :func:`load_obo` does and is never stored.
+    load raises as :func:`load_obo` does and is never stored. The file is
+    hashed again after the parse, and the graph is stored only when the
+    bytes still have the entry's name: a file replaced between the hash and
+    the parse must not put its graph under the name of the old bytes.
     """
     entry = _cache_entry(obo_path, prefix)
     if entry is not None and (graph := _read_entry(entry, prefix)) is not None:
         return graph
     with open(obo_path, encoding="utf-8-sig") as obo:
         graph = load_obo(obo, prefix)
-    if entry is not None:
+    if entry is not None and _cache_entry(obo_path, prefix) == entry:
         _write_entry(entry, graph)
     return graph
 

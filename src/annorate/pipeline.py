@@ -13,10 +13,10 @@ makes equal (label, accession) pairs one shared :class:`~annorate.isatab.TermSlo
 (:func:`~annorate.scoring.annotation_ref`, the memoized test of what an
 annotation is), one catalog lookup and at most one probe (one
 :class:`AccessionResolver` serves the whole run and remembers, per URL,
-both the depth metrics and the resolution outcome), and one encoding of
-the URL's report fields (:func:`annotation_fields`). The ``scores.json``
+both the depth metrics and the resolution outcome). The ``scores.json``
 writer walks each study's slots through the same test and encodes each
-distinct annotation record, a slot with those fields, once. Scoring, the
+distinct annotation record, a slot's label with its URL's
+:func:`annotation_fields`, once per distinct slot. Scoring, the
 per-annotation report and the audit share all of these.
 """
 

@@ -9,18 +9,23 @@ join in input order, which verifies every candidate with a multiset
 intersection. ``oracle_slot_multiset`` builds those multisets without the
 package's own key, so a wrong key in the package shows up as a difference.
 Both oracles share the finding types with the package, so findings compare
-equal.
+equal. ``oracle_audit_records`` composes them into the ``audit.json``
+records of a corpus, read by the score oracle's own file loader and
+catalog.
 
-Used by ``tests/test_audit.py`` and by the CI step that runs the
-near-duplicate join on a 10x corpus (``sys.path`` must include ``tests/``).
+Used by ``tests/test_audit.py`` and by the CI steps that audit the
+generated workloads and a 10x corpus (``sys.path`` must include ``tests/``).
 """
 
 import math
 from collections import Counter
+from pathlib import Path
 
 from annorate.accession import Resolution, classify_accession
 from annorate.audit import Irregularity, IrregularityKind, Resolver
 from annorate.isatab import AnnotationType, StudyMetadata
+
+from score_oracle import _catalog, _studies
 
 _RESOLUTION_FINDINGS = {
     Resolution.BROKEN: IrregularityKind.BROKEN_ACCESSION,
@@ -164,3 +169,27 @@ def oracle_prefix_join(
                 )
             )
     return findings, len(candidates)
+
+
+def oracle_audit_records(
+    corpus_dir: Path, catalog_path: Path | None, near_dup_threshold: float
+) -> list[dict]:
+    """The ``audit.json`` records of ``annorate audit`` on a corpus, in order.
+
+    Each study's entry findings, in file and block order, then the
+    near-duplicate findings. A scorable accession resolves when its
+    prefix's oracle graph holds its term, and is not in the catalog
+    otherwise.
+    """
+    graphs = _catalog(catalog_path)
+
+    def resolution(ref) -> Resolution:
+        graph = graphs.get(ref.ontology_prefix)
+        found = graph is not None and ref.curie in graph
+        return Resolution.RESOLVED if found else Resolution.NOT_IN_CATALOG
+
+    studies = list(_studies(corpus_dir))
+    findings = [f for study in studies for f in oracle_audit_entry(study, resolution)]
+    findings += oracle_prefix_join(studies, near_dup_threshold)[0]
+    return [{"study_id": f.study_id, "kind": f.kind.value, "evidence": f.evidence}
+            for f in findings]

@@ -4,6 +4,7 @@ import argparse
 import codecs
 import errno
 import gc
+import io
 import json
 import os
 import subprocess
@@ -21,12 +22,16 @@ from annorate.accession import Resolution, classify_accession
 from annorate.audit import Irregularity, IrregularityKind
 from annorate.corpus import BoxplotStats, CorpusStats
 from annorate.ingest import ManifestEntry
-from annorate.ontology import DepthMetrics
+from annorate.ontology import DepthMetrics, OntologyCatalog
 from annorate.scoring import EntryScore, TypeScore
-from annorate.pipeline import AccessionResolver, annotation_details, load_corpus, process_study
+from annorate.pipeline import (
+    AccessionResolver, annotation_details, annotation_fields, load_corpus, process_study
+)
 
 from conftest import investigation_text, mtbls95_investigation
-from annorate.isatab import SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot
+from annorate.isatab import (
+    SCORED_TYPES, AnnotationType, StudyMetadata, TermSlot, load_investigation
+)
 
 MTBLS95_ROW = "MTBLS95\t8\t41.6250000\t50.2075956\t44.9166667\t53.5223527"
 
@@ -1307,6 +1312,33 @@ class TestJsonWriter:
                 record["types"][type_name]["annotations"] = annotations
         assert written == (json.dumps(records, indent=2) + "\n").encode()
 
+    def test_scores_json_encodes_each_distinct_annotation_once(self, monkeypatch):
+        """A repeated slot costs no more encodings; one URL under two labels is two records."""
+        repeated, relabelled = TermSlot("metabolomics", GO_URL), TermSlot("other label", GO_URL)
+        studies = [
+            StudyMetadata("S1", {AnnotationType.DESIGN: [repeated, TermSlot("free text")]}),
+            StudyMetadata("S2", {AnnotationType.DESIGN: [repeated],
+                                 AnnotationType.FACTOR: [relabelled]}),
+            StudyMetadata("S3", {AnnotationType.PROTOCOL: [repeated, repeated]}),
+        ]
+        calls = []
+
+        def counted(ref, resolver):
+            calls.append(ref)
+            return annotation_fields(ref, resolver)
+
+        monkeypatch.setattr(cli, "annotation_fields", counted)
+        resolver = AccessionResolver(OntologyCatalog())
+        scored = [(study, process_study(study, resolver)) for study in studies]
+        out = io.StringIO()
+        cli._write_scores_json(out, scored, resolver)
+        assert len(calls) <= 2  # the distinct annotation slots
+        labels = [[annotation["label"] for fields in record["types"].values()
+                   for annotation in fields["annotations"]]
+                  for record in json.loads(out.getvalue())]
+        assert labels == [["metabolomics"], ["metabolomics", "other label"],
+                          ["metabolomics", "metabolomics"]]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", ["score_sum", "by_annotations", "by_terms", "global_terms"])
     def test_scores_json_rejects_a_non_finite_score(self, field, value):
@@ -1536,7 +1568,7 @@ GO_URL = "http://purl.obolibrary.org/obo/GO_0000001"
 
 
 class TestRecords:
-    """The public result types are immutable named tuples; StudyMetadata stays mutable."""
+    """The parsed studies and the public result types are immutable named tuples."""
 
     @pytest.mark.parametrize(
         "record",
@@ -1549,7 +1581,8 @@ class TestRecords:
          CorpusStats(1, 50.0, 0.0, 50.0, 50.0, 0.0),
          BoxplotStats(0.0, 0.25, 0.5, 0.75, 1.0),
          ManifestEntry("S", "S/i_Investigation.txt", "http://h/S", "1970-01-01T00:00:00Z",
-                       "0" * 64, "ok")],
+                       "0" * 64, "ok"),
+         StudyMetadata("S", {}, "S/i_Investigation.txt", ["a warning"])],
         ids=lambda record: type(record).__name__,
     )
     def test_no_field_can_be_assigned(self, record):
@@ -1566,11 +1599,28 @@ class TestRecords:
             other = base._replace(**{name: getattr(base, name) + 1})
             assert other != base and not other == base, name
 
-    def test_study_metadata_gets_a_fresh_warnings_list(self):
-        first, second = StudyMetadata("A", {}), StudyMetadata("A", {})
-        first.warnings.append("a warning")
-        assert (first.warnings, second.warnings) == (["a warning"], [])
-        first.source_path = "A/i_Investigation.txt"
-        assert first == StudyMetadata("A", {}, "A/i_Investigation.txt", ["a warning"])
-        assert first != second
-        assert repr(second) == "StudyMetadata(study_id='A', slots={}, source_path='', warnings=[])"
+    def test_load_investigation_builds_each_study_whole(self, tmp_path):
+        """Each study of a file gets its path and its warnings, ahead of the block's own."""
+        content = b"".join(
+            b'STUDY\nStudy Identifier\t"%s"\nStudy Design Type\t"caf\xff"\nStudy Design Type\t"x"\n'
+            % study_id for study_id in (b"A", b"B")
+        )
+        study_dir = os.path.join(os.fsencode(tmp_path), b"bad\xffname")  # a name that is not UTF-8
+        os.mkdir(study_dir)
+        path = os.fsdecode(os.path.join(study_dir, b"i_two.txt"))
+        Path(path).write_bytes(content)
+        first, second = load_investigation(path)
+        for study, study_id in ((first, "A"), (second, "B")):
+            assert study == StudyMetadata(
+                study_id,
+                {**{t: [] for t in AnnotationType},
+                 AnnotationType.DESIGN: [TermSlot("caf\ufffd")]},
+                path.replace("\udcff", "\ufffd"),
+                ["invalid UTF-8 byte sequences replaced during decoding",
+                 "duplicate field row 'Study Design Type' ignored (kept first)"],
+            )
+        assert first.warnings is not second.warnings
+        assert StudyMetadata("A", {}).warnings == ()
+        assert repr(StudyMetadata("A", {})) == (
+            "StudyMetadata(study_id='A', slots={}, source_path='', warnings=())"
+        )

@@ -905,6 +905,31 @@ class TestGraphCache:
             assert len(warnings) == attempt and message in warnings[-1]
         assert cache_entries(graph_cache) == []
 
+    @pytest.mark.parametrize("rewrite", ["in-place", "os-replace"])
+    def test_file_replaced_between_hash_and_parse_is_not_stored(
+        self, rewrite, tmp_path, graph_cache
+    ):
+        """The entry named after a file's bytes never holds the graph of other bytes."""
+        original, replacement = merge_obo(CHAIN, DIAMOND), chain_obo(["T:3", "T:2", "T:1"])
+        catalog_path = write_catalog(tmp_path, {"T": original})
+        obo = tmp_path / "t.obo"
+
+        def replaced_then_miss(entry, prefix):  # the file changes after its hash names the entry
+            if rewrite == "in-place":
+                obo.write_text(replacement, encoding="utf-8")
+            else:
+                (tmp_path / "new.obo").write_text(replacement, encoding="utf-8")
+                os.replace(tmp_path / "new.obo", obo)
+
+        with mock.patch.object(ontology, "_read_entry", replaced_then_miss):
+            raced = OntologyCatalog.from_file(catalog_path)
+        assert_same_graph(raced.get("T"), load_obo(replacement, "T"))
+        obo.write_text(original, encoding="utf-8")
+        restored, parsed = load_catalog(catalog_path)
+        assert_same_graph(restored.get("T"), load_obo(original, "T"))
+        assert parsed == 1
+        assert_same_graph(load_catalog(catalog_path)[0].get("T"), load_obo(original, "T"))
+
     def test_racing_loads_leave_one_valid_entry(self, catalog_path, graph_cache):
         replace = os.replace
         raced = []
