@@ -58,14 +58,17 @@ EXIT_USAGE = 64
 EXIT_NO_INPUT = 65
 EXIT_CANT_CREATE = 73
 
-SCORES_TSV_COLUMNS = (
-    "study_id",
-    "total_annotations",
-    "score_terms",
-    "log_score_terms",
-    "score_annotations",
-    "log_score_annotations",
+#: scores.tsv columns, in file order: each header, the ``EntryScore`` field its cells hold,
+#: and the kind and bounds that ``_read_entries`` requires of a cell (a study id is any text).
+_SCORES_TSV_LAYOUT = (
+    ("study_id", "study_id", str, None, None),
+    ("total_annotations", "total_annotations", int, 0, math.inf),
+    ("score_terms", "global_terms", float, 0, 100),
+    ("log_score_terms", "log_terms", float, 0, 100),
+    ("score_annotations", "global_annotations", float, 0, 100),
+    ("log_score_annotations", "log_annotations", float, 0, 100),
 )
+SCORES_TSV_COLUMNS = tuple(header for header, *_ in _SCORES_TSV_LAYOUT)
 
 #: scores.json per-type fields, in the order ``_score_record`` writes them, each with the
 #: JSON kind and the bounds that ``_read_per_type`` requires.
@@ -235,8 +238,8 @@ def cmd_score(args) -> int:
                 tsv_out,
                 SCORES_TSV_COLUMNS,
                 (
-                    (s.study_id, str(s.total_annotations), _fmt(s.global_terms),
-                     _fmt(s.log_terms), _fmt(s.global_annotations), _fmt(s.log_annotations))
+                    [(_fmt if kind is float else str)(getattr(s, field))
+                     for _, field, kind, *_ in _SCORES_TSV_LAYOUT]
                     for _, s in scored
                 ),
             )
@@ -507,12 +510,13 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
     Rows and records that share a study id are paired in file order: the
     k-th row of an id takes the per-type scores of the k-th record of that
     id. Raises ``ValueError`` when line 1 is not the ``SCORES_TSV_COLUMNS``
-    header, naming the row on a wrong number of cells, a non-numeric cell,
-    a negative ``total_annotations`` or a score outside [0, 100] (a NaN or
-    an infinity included), and naming
-    the record on a malformed scores.json record (see
-    :func:`_read_per_type`). Raises ``OSError`` when a file cannot be read.
-    A byte order mark opening either file is dropped.
+    header; naming the row on a wrong number of cells, and the row and the
+    column on a cell that is not a number of its kind or lies outside its
+    bounds in ``_SCORES_TSV_LAYOUT`` (a negative ``total_annotations``, or a
+    score outside [0, 100], a NaN or an infinity included), the leftmost
+    such cell of the row; and naming the record on a malformed scores.json
+    record (see :func:`_read_per_type`). Raises ``OSError`` when a file
+    cannot be read. A byte order mark opening either file is dropped.
     """
     lines = scores_path.read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0] != "\t".join(SCORES_TSV_COLUMNS):
@@ -529,26 +533,18 @@ def _read_entries(scores_path: Path) -> list[EntryScore]:
         study_id = cells[0]
         per_type = per_type_by_study.get(study_id)
         try:
-            if len(cells) != len(SCORES_TSV_COLUMNS):
-                raise ValueError(f"{len(cells)} cells, not {len(SCORES_TSV_COLUMNS)}")
-            entry = EntryScore(
-                study_id=study_id,
-                per_type=per_type.pop(0) if per_type else {},
-                global_terms=float(cells[2]),
-                log_terms=float(cells[3]),
-                global_annotations=float(cells[4]),
-                log_annotations=float(cells[5]),
-                total_annotations=int(cells[1]),
-            )
-            if entry.total_annotations < 0:
-                raise ValueError(f"total_annotations {entry.total_annotations} outside [0, inf]")
-            for column in corpus_mod.SCORE_COLUMNS:
-                value = getattr(entry, column)
-                if not 0.0 <= value <= 100.0:
-                    raise ValueError(f"{column} {value} outside [0, 100]")
+            if len(cells) != len(_SCORES_TSV_LAYOUT):
+                raise ValueError(f"{len(cells)} cells, not {len(_SCORES_TSV_LAYOUT)}")
+            fields = {}
+            for cell, (_, field, kind, low, high) in zip(cells, _SCORES_TSV_LAYOUT):
+                try:  # in column order, so the leftmost bad cell is the one named
+                    value = kind(cell)
+                except ValueError:
+                    raise ValueError(f"{field} is {reprlib.repr(cell)}, not {_KIND_NAMES[kind]}")
+                fields[field] = value if kind is str else _in_bounds(value, field, low, high)
         except ValueError as exc:
             raise ValueError(f"line {line_number} ({study_id}): {exc}") from exc
-        entries.append(entry)
+        entries.append(EntryScore(per_type=per_type.pop(0) if per_type else {}, **fields))
     return entries
 
 
@@ -587,9 +583,8 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
                 annotation_type = AnnotationType(type_name)
                 _expect(ts, dict, type_name)
                 for key, kind, low, high in _TYPE_SCORE_FIELDS:
-                    value = _expect(ts[key], kind, f"{type_name} {key}")
-                    if not low <= value <= high:
-                        raise ValueError(f"{type_name} {key} {value} outside [{low}, {high}]")
+                    name = f"{type_name} {key}"
+                    _in_bounds(_expect(ts[key], kind, name), name, low, high)
                 types[annotation_type] = TypeScore(**{key: ts[key] for key in TypeScore._fields})
             per_type_by_study.setdefault(study_id, []).append(types)
         except KeyError as exc:
@@ -597,6 +592,13 @@ def _read_per_type(json_path: Path) -> dict[str, list[dict[AnnotationType, TypeS
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return per_type_by_study
+
+
+def _in_bounds(value, name: str, low, high):
+    """``value`` when it lies in [low, high] (a NaN never does); else a ``ValueError``."""
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} outside [{low}, {high}]")
+    return value
 
 
 def _expect(value, kind: type, what: str):

@@ -3,7 +3,8 @@
 All functions take a list of :class:`~annorate.scoring.EntryScore` and a
 score column name. Corpus statistics use the sample (n-1) standard
 deviation, chosen because it reproduces the reference corpus statistics
-exactly; "% above mean" uses strict inequality. The minimum is taken over
+exactly; "% above mean" counts the values strictly above the exact mean,
+which the rounded mean may miss by one ulp. The minimum is taken over
 entries with at least one annotation, since the mass of zero-score entries
 would otherwise pin it to 0.
 
@@ -62,7 +63,8 @@ def corpus_stats(entries: list[EntryScore], column: str = "log_terms") -> Corpus
     """Mean, sample std dev, max, annotated minimum and % above mean.
 
     The mean and the standard deviation come from correctly rounded sums, so
-    they are the same for every order of ``entries``. Raises
+    they are the same for every order of ``entries``. "% above mean" counts
+    the values above the exact mean, not above the rounded ``mean``. Raises
     ``OverflowError`` when a sum overflows a float, as two values of 1e308
     do; scores in their [0, 100] domain never do.
     """
@@ -81,8 +83,21 @@ def corpus_stats(entries: list[EntryScore], column: str = "log_terms") -> Corpus
         std_dev=std_dev,
         max=max(values),
         min_annotated=min(annotated) if annotated else None,
-        pct_above_mean=100.0 * sum(v > mean for v in values) / n,
+        pct_above_mean=100.0 * _count_above_mean(values) / n,
     )
+
+
+def _count_above_mean(values: list[float]) -> int:
+    """How many of ``values`` lie strictly above their exact mean, counted in integers.
+
+    Each value is ``p / d``, ``d`` a power of two: scaled to the largest ``d``,
+    ``v > sum / n`` is ``n * v * scale > sum * scale``, with no rounding.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    scaled = [p * (scale // d) for p, d in ratios]
+    total = sum(scaled)
+    return sum(len(scaled) * s > total for s in scaled)
 
 
 def distribution(entries: list[EntryScore], column: str = "log_terms") -> Distribution:

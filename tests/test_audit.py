@@ -1,17 +1,12 @@
 """Irregularity detection: per-entry findings and corpus near-duplicates."""
 
-import json
 import math
-import tempfile
-from pathlib import Path
 
 import pytest
-from audit_oracle import oracle_audit_entry, oracle_audit_records, oracle_slot_multiset
+from audit_oracle import oracle_audit_entry, oracle_slot_multiset
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_score_oracle import drawn_inputs
 
-from annorate import cli
 from annorate.accession import Resolution
 from annorate.audit import (
     Irregularity,
@@ -405,19 +400,3 @@ class TestIrregularityShape:
             assert isinstance(finding, Irregularity)
             assert finding.evidence
             assert finding.study_id == "X"
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(drawn_inputs(), st.sampled_from([0.1, 0.25, 0.5]))
-def test_drawn_corpus_audits_as_the_oracle_audits_it(inputs, threshold):
-    """Drawn catalogs and corpora, audited by ``annorate audit`` and by the oracles, agree."""
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        for name, text in inputs.items():
-            (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_text(text, encoding="utf-8")
-        corpus, catalog = root / "corpus", root / "ontologies" / "catalog.tsv"
-        assert cli.main(["audit", "--corpus", str(corpus), "--catalog", str(catalog),
-                         "--near-dup-threshold", str(threshold), "--out", str(root / "out")]) == 0
-        written = json.loads((root / "out" / "audit.json").read_text(encoding="utf-8"))
-        assert written == oracle_audit_records(corpus, catalog, threshold)

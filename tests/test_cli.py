@@ -605,6 +605,27 @@ class TestStats:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("MTBLS1\t4\t75.0000000\tabc\t75.0000000\t80.7354922",
+             "log_terms is 'abc', not a finite number"),
+            ("MTBLS1\t4.0\t75.0000000\t80.7354922\t75.0000000\t80.7354922",
+             "total_annotations is '4.0', not an integer"),
+            # the count's range error is named, not the conversion error to its right
+            ("MTBLS1\t-4\t75.0000000\tabc\t75.0000000\t80.7354922",
+             "total_annotations -4 outside [0, inf]"),
+        ],
+        ids=["float", "int", "leftmost-of-two"],
+    )
+    def test_bad_cell_names_its_column(self, tmp_path, capsys, row, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\t".join(cli.SCORES_TSV_COLUMNS) + f"\n{row}\n", encoding="utf-8")
+        code = run_cli(["stats", "--scores", str(scores), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NO_INPUT
+        assert capsys.readouterr().err == f"bad score row in {scores}: line 2 (MTBLS1): {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_score_of_100_lands_in_last_bin(self, tmp_path):
         scores = tmp_path / "scores.tsv"
         scores.write_text(

@@ -59,10 +59,12 @@ def _exact_sum(values):
 
 
 def _exact_stats(entries, column):
-    """The statistics with every sum exact and rounded once: the oracle for the sums."""
+    """The statistics with every sum exact and rounded once, and % above the exact mean."""
     values = [float(getattr(e, column)) for e in entries]
     n = len(values)
-    mean = _exact_sum(values) / n
+    exact_values = list(map(Fraction, values))
+    exact_sum = sum(exact_values)
+    mean = float(exact_sum) / n
     squares = [(v - mean) * (v - mean) for v in values]
     annotated = [getattr(e, column) for e in entries if e.total_annotations >= 1]
     return CorpusStats(
@@ -71,7 +73,7 @@ def _exact_stats(entries, column):
         std_dev=math.sqrt(_exact_sum(squares) / (n - 1)) if n > 1 else 0.0,
         max=max(values),
         min_annotated=min(annotated) if annotated else None,
-        pct_above_mean=100.0 * sum(v > mean for v in values) / n,
+        pct_above_mean=100.0 * sum(v * n > exact_sum for v in exact_values) / n,
     )
 
 
@@ -215,6 +217,13 @@ class TestCorpusStats:
             entries = [make_entry(f"E{i}", log_terms=v) for i, v in enumerate(order)]
             assert corpus_stats(entries).mean == 63.38733333333334
             assert _bits(corpus_stats(entries)) == _bits(_exact_stats(entries, "log_terms"))
+
+    def test_values_equal_to_the_mean_are_not_above_it(self):
+        # fsum(values) / 24 rounds to one ulp below 55.2859576, the exact mean
+        entries = [make_entry(f"E{i}", log_terms=55.2859576, log_annotations=55.2859576)
+                   for i in range(24)]
+        for column in ("log_terms", "log_annotations"):
+            assert corpus_stats(entries, column).pct_above_mean == 0.0
 
     def test_overflowing_sum_raises(self):
         entries = [make_entry(f"E{i}", log_terms=1e308) for i in range(2)]

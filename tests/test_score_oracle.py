@@ -1,7 +1,8 @@
-"""Every score of a corpus against the reference scorer in tests/score_oracle.py."""
+"""Every report of a corpus against its oracle in tests/: score, stats and audit."""
 
 import ast
 import dataclasses
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annorate import cli
+from annorate.corpus import SCORE_COLUMNS
 from annorate.isatab import AnnotationType
 
 from conftest import investigation_text
 
 import score_oracle
+import stats_oracle
+from audit_oracle import oracle_audit_records
 from score_oracle import oracle_mismatches
+from stats_oracle import oracle_stats_mismatches
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -116,22 +121,38 @@ def drawn_inputs(draw) -> dict[str, str]:
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(drawn_inputs())
-def test_drawn_corpus_scores_as_the_oracle_scores_it(inputs):
-    """Drawn catalogs and corpora, scored by ``annorate score`` and by the oracle, agree."""
+@given(drawn_inputs(), st.sampled_from([0.1, 0.25, 0.5]), st.sampled_from(SCORE_COLUMNS))
+def test_drawn_corpus_reports_equal_the_oracles(inputs, threshold, column):
+    """Drawn catalogs and corpora: ``score``, ``stats`` and ``audit`` run once, each report
+    against its oracle."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, text in inputs.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_text(text, encoding="utf-8")
-        catalog = root / "ontologies" / "catalog.tsv"
-        score(root / "corpus", catalog, root / "out")
-        assert oracle_mismatches(root / "corpus", catalog, root / "out") == []
+        corpus, catalog, out = root / "corpus", root / "ontologies" / "catalog.tsv", root / "out"
+        score(corpus, catalog, out)
+        assert cli.main(["stats", "--scores", str(out / "scores.tsv"), "--score-column", column,
+                         "--out", str(out)]) == 0
+        assert cli.main(["audit", "--corpus", str(corpus), "--catalog", str(catalog),
+                         "--near-dup-threshold", str(threshold), "--out", str(out)]) == 0
+        assert oracle_mismatches(corpus, catalog, out) == [], "scores.tsv or scores.json"
+        assert oracle_stats_mismatches(out / "scores.tsv", column, out) == [], "stats tables"
+        written = json.loads((out / "audit.json").read_text(encoding="utf-8"))
+        assert written == oracle_audit_records(corpus, catalog, threshold), "audit.json"
+
+
+def _imports(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    return imported | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                       for alias in node.names}
 
 
 def test_oracle_shares_no_scoring_code():
-    tree = ast.parse(Path(score_oracle.__file__).read_text(encoding="utf-8"))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names}
-    assert not imported & {"annorate.scoring", "annorate.accession", "annorate.pipeline", "annorate.cli"}
+    assert not _imports(score_oracle) & {"annorate.scoring", "annorate.accession",
+                                         "annorate.pipeline", "annorate.cli"}
+
+
+def test_stats_oracle_shares_no_statistics_code():
+    assert not {name for name in _imports(stats_oracle) if name.startswith("annorate")}
